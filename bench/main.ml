@@ -1240,19 +1240,38 @@ let metrics_section stats_json_file =
    codec trips the build before a human has to eyeball a diff. (The raw
    checkpoint frame is deliberately not digested: its node order follows
    hash-cons tags, which depend on process history — only its *meaning*
-   is deterministic, which is what the roundtrip report pins.) *)
+   is deterministic, which is what the roundtrip report pins.) The
+   running example's join work under each Datalog engine (probes,
+   candidates, rules fired: counter deltas around each run, since a
+   registry reset would also zero population gauges such as
+   fact_store.live that finalizers later decrement) is recorded too: these
+   counters follow the join order of every rule firing, so a planner
+   change that reorders a join drifts them even when the diagnosis stays
+   put. *)
 let output_digests () =
   let net = running_net () in
-  let d = (Diagnoser.diagnose net (alarms [ ("b", "p1"); ("a", "p2"); ("c", "p1") ]))
-            .Diagnoser.diagnosis
+  let running_alarms = alarms [ ("b", "p1"); ("a", "p2"); ("c", "p1") ] in
+  let work =
+    List.concat_map
+      (fun (name, engine) ->
+        let counters = [ "fact_store.probes"; "fact_store.candidates"; "eval.rules_fired" ] in
+        let before = List.map counter_now counters in
+        ignore (Diagnoser.diagnose ~engine net running_alarms);
+        List.map2
+          (fun c v0 ->
+            (Printf.sprintf "running/%s/%s" name c, string_of_int (counter_now c - v0)))
+          counters before)
+      [ ("qsq", Diagnoser.Centralized_qsq); ("magic", Diagnoser.Centralized_magic);
+        ("dqsq", Diagnoser.Distributed { seed = 0; policy = Network.Sim.Random_interleaving }) ]
   in
+  let d = (Diagnoser.diagnose net running_alarms).Diagnoser.diagnosis in
   let frame = Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements d) in
   (* the same scenario under the parallel scheduler (4 domains, stealing
      allowed): confluence + structural sorting promise a byte-identical
      report regardless of the schedule, and this digest holds it to that *)
   let d_par =
     (Diagnoser.run
-       (Diagnoser.prepare net (alarms [ ("b", "p1"); ("a", "p2"); ("c", "p1") ]))
+       (Diagnoser.prepare net running_alarms)
        (Diagnoser.Distributed_parallel { jobs = 4 }))
       .Diagnoser.diagnosis
   in
@@ -1273,6 +1292,7 @@ let output_digests () =
     ("fig3/program", hex (Dprogram.to_string (Dprogram.figure3 ())));
     ("cycle1k/report", hex stream_report);
     ("cycle1k/restored_report", hex restored_report) ]
+  @ work
 
 let read_file path =
   let ic = open_in_bin path in
@@ -1314,18 +1334,18 @@ let check_baseline path =
   let current = output_digests () in
   let baseline = baseline_digests path in
   Printf.printf "determinism digests vs %s\n" path;
-  Printf.printf "%-26s %-34s %s\n" "artifact" "current" "baseline";
+  Printf.printf "%-36s %-34s %s\n" "artifact" "current" "baseline";
   let drift = ref 0 in
   List.iter
     (fun (name, dg) ->
       match List.assoc_opt name baseline with
-      | Some b when String.equal b dg -> Printf.printf "%-26s %-34s ok\n" name dg
+      | Some b when String.equal b dg -> Printf.printf "%-36s %-34s ok\n" name dg
       | Some b ->
         incr drift;
-        Printf.printf "%-26s %-34s DRIFT (was %s)\n" name dg b
+        Printf.printf "%-36s %-34s DRIFT (was %s)\n" name dg b
       | None ->
         incr drift;
-        Printf.printf "%-26s %-34s MISSING from baseline\n" name dg)
+        Printf.printf "%-36s %-34s MISSING from baseline\n" name dg)
     current;
   if !drift > 0 then begin
     Printf.eprintf
@@ -1409,6 +1429,10 @@ let () =
     | None -> experiments
     | Some id -> List.filter (fun (i, _) -> i = id) experiments
   in
+  (* first, as [--check-baseline] does: the join-work counters depend on
+     the process's symbol-intern order (it orders the semi-naive delta
+     tables), so they are only comparable from the same starting point *)
+  let digests = output_digests () in
   let times =
     List.map
       (fun (id, f) ->
@@ -1420,6 +1444,6 @@ let () =
   metrics_section stats_json_file;
   write_bench_json bench_json_file
     (times @ !e19_times @ !e20_rows @ !e21_rows @ !e22_rows)
-    (output_digests ());
+    digests;
   if not (no_timings || ci) then timings ();
   Printf.printf "\n%s\nAll experiments completed.\n" line

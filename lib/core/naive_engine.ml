@@ -124,7 +124,7 @@ let run ?max_steps (t : t) ~(query : Datom.t) : outcome =
   let answers =
     List.map
       (fun s -> Atom.apply s (Datom.to_atom query))
-      (Fact_store.matches (Runtime.store st.rt) (Datom.to_atom query) ~init:Subst.empty)
+      (Fact_store.matches (Runtime.store st.rt) (Datom.to_atom query))
   in
   let facts_per_peer =
     Hashtbl.fold (fun p st acc -> (p, Runtime.facts_count st.rt) :: acc) t.states []

@@ -608,7 +608,7 @@ let finish ?(deliveries = 0) (t : t) : outcome =
   let answers =
     List.map
       (fun s -> Atom.apply s (Datom.to_atom query))
-      (Fact_store.matches (Runtime.store st.rt) answer_pattern ~init:Subst.empty)
+      (Fact_store.matches (Runtime.store st.rt) answer_pattern)
     (* structural order: store iteration order depends on the delivery
        schedule, so sort here to keep the outcome schedule-independent *)
     |> List.sort (fun (a : Atom.t) (b : Atom.t) ->

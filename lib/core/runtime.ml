@@ -1,7 +1,8 @@
 (** Per-peer runtime shared by the distributed engines.
 
     Each peer owns a fact store over mangled located relations, a growing
-    set of installed (rewritten or original) rules, and a subscriber table.
+    set of installed (rewritten or original) rules, compiled into join
+    plans as they arrive, and a subscriber table.
     Local evaluation reuses the centralized semi-naive engine: a peer is a
     little deductive database of its own, exactly the paper's picture of
     autonomous peers holding rules and data. *)
@@ -11,7 +12,7 @@ open Datalog
 type t = {
   peer : string;
   store : Fact_store.t;
-  mutable rules : Rule.t list;  (** installed rules, newest last *)
+  mutable program : Eval.compiled;  (** installed rules, planned at install *)
   installed : (string, unit) Hashtbl.t;  (** dedup of installed rules *)
   subscribers : (Symbol.t, string list ref) Hashtbl.t;
   mutable eval_options : Eval.options;
@@ -23,7 +24,7 @@ let create ?(eval_options = Eval.default_options) peer =
   {
     peer;
     store = Fact_store.create ();
-    rules = [];
+    program = Eval.empty ();
     installed = Hashtbl.create 64;
     subscribers = Hashtbl.create 16;
     eval_options;
@@ -37,7 +38,7 @@ let create ?(eval_options = Eval.default_options) peer =
     the engine, not the session. *)
 let reset t =
   Fact_store.reset t.store;
-  t.rules <- [];
+  t.program <- Eval.empty ();
   Hashtbl.clear t.installed;
   Hashtbl.clear t.subscribers;
   t.derivations <- 0;
@@ -49,7 +50,7 @@ let install t (r : Rule.t) : bool =
   if Hashtbl.mem t.installed key then false
   else begin
     Hashtbl.add t.installed key ();
-    t.rules <- t.rules @ [ r ];
+    Eval.add_rule t.program r;
     true
   end
 
@@ -90,8 +91,8 @@ let evaluate ?delta t : (Atom.t * string list) list =
   let out = ref [] in
   let on_new a = out := (a, subscribers_of t a.Atom.rel) :: !out in
   let result =
-    Eval.seminaive ~options:t.eval_options ?init_delta:delta ~on_new
-      (Program.make t.rules) t.store
+    Eval.seminaive_compiled ~options:t.eval_options ?init_delta:delta ~on_new t.program
+      t.store
   in
   t.derivations <- t.derivations + result.Eval.stats.Eval.derivations;
   t.clipped <- t.clipped + result.Eval.stats.Eval.clipped;
@@ -102,4 +103,3 @@ let evaluate ?delta t : (Atom.t * string list) list =
 
 let facts_count t = Fact_store.count t.store
 let store t = t.store
-let rules t = t.rules

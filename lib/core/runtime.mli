@@ -1,13 +1,14 @@
 (** Per-peer runtime shared by the distributed engines: a fact store over
-    mangled located relations, a growing set of installed rules, and a
-    subscriber table. Each peer is a little deductive database of its own. *)
+    mangled located relations, a growing set of installed rules (planned
+    once, at install), and a subscriber table. Each peer is a little
+    deductive database of its own. *)
 
 open Datalog
 
 type t = {
   peer : string;
   store : Fact_store.t;
-  mutable rules : Rule.t list;
+  mutable program : Eval.compiled;
   installed : (string, unit) Hashtbl.t;
   subscribers : (Symbol.t, string list ref) Hashtbl.t;
   mutable eval_options : Eval.options;
@@ -38,4 +39,3 @@ val evaluate : ?delta:Atom.t list -> t -> (Atom.t * string list) list
 
 val facts_count : t -> int
 val store : t -> Fact_store.t
-val rules : t -> Rule.t list

@@ -35,147 +35,125 @@ let default_options = { max_depth = None; max_facts = None; max_rounds = None }
 let atom_depth (a : Atom.t) =
   List.fold_left (fun acc t -> max acc (Term.depth t)) 0 a.Atom.args
 
-(** Enumerate the substitutions satisfying [body] (a list of literals) against
-    [store], extending [init]. If [delta = Some (j, tuples)], the [j]-th
-    positive atom is matched against [tuples] instead of the store (the
-    semi-naive delta) and, as the most selective literal, drives the join:
-    it is evaluated first. The remaining positive atoms are joined
-    most-bound-first: at every step the atom with the most arguments ground
-    under the current substitution is matched next (ties keep body order),
-    which maximizes the chance of an indexed probe over a full relation
-    scan. Disequalities are checked as soon as both sides are ground, and
-    rechecked at the end (range restriction guarantees they are ground
-    then). Bodies containing negation keep the static literal order: [Neg]
-    reads the store, which the surrounding fixpoint mutates between
-    derivations, so its check time is part of the (alternating/stratified)
-    semantics and must not float. *)
-let eval_body store body ~init ?delta f =
-  (* A constraint (disequality or negated atom) holds under [s] once ground;
-     non-ground ones are deferred. *)
-  let constraint_state s = function
-    | `Neq (x, y) ->
-      let x = Subst.apply s x and y = Subst.apply s y in
-      if Term.is_ground x && Term.is_ground y then
-        if Term.equal x y then `Fails else `Holds
-      else `Deferred
-    | `Neg a ->
-      let a = Atom.apply s a in
-      if Atom.is_ground a then if Fact_store.mem store a then `Fails else `Holds
-      else `Deferred
+(** A join plan: the body literals of one rule in the fixed order they are
+    matched and checked. Matching binds every variable of an atom to a
+    ground term, so which arguments are ground before each step depends
+    only on the rule and on which positive atom is driven from the delta:
+    the order is planned once, when the rule is compiled, and never
+    re-derived per firing. *)
+type step =
+  | Scan of Atom.t * int list
+      (** match against the store, probing the index over the (ascending)
+          argument positions ground on entry *)
+  | Delta of Atom.t  (** match against the semi-naive delta tuples *)
+  | Neq of Term.t * Term.t
+  | Absent of Atom.t  (** negation as failure: the store as it stands *)
+
+type plan = { rule : Rule.t; steps : step list }
+
+(** [plan r ~delta] orders [r]'s body for a firing whose [delta]-th
+    positive atom, if any, is matched against the semi-naive delta: as the
+    most selective literal it drives the join and goes first. The other
+    positive atoms follow most-bound-first: the atom with the most
+    arguments ground so far comes next; on ties the earlier leader stays,
+    and a leader displaced by a better atom is re-inserted behind the atoms
+    it was compared with. This maximizes the chance of an indexed probe
+    over a full relation scan. Each disequality is checked at the first
+    step where both sides are ground: it reads no store, so checking it
+    early only prunes. Bodies containing negation keep the
+    static literal order (delta first): [not] reads the store, which the
+    surrounding fixpoint mutates between derivations, so its check time is
+    part of the (alternating/stratified) semantics and must not float.
+    There each constraint is checked at its own position if it is ground
+    there, and otherwise once per derivation, after the last atom. A
+    constraint never ground (a rule that is not range restricted) fails
+    every derivation. *)
+let plan (r : Rule.t) ~delta =
+  let bound = ref [] and steps = ref [] in
+  let ground t = Term.vars_fold (fun acc x -> acc && List.mem x !bound) true t in
+  (* atoms can always be matched, constraints once their terms are ground *)
+  let ready = function
+    | Scan _ | Delta _ -> true
+    | Neq (x, y) -> ground x && ground y
+    | Absent a -> List.for_all ground a.Atom.args
   in
-  let tagged =
-    let pos_idx = ref (-1) in
+  (* a [Scan] gets its mask when emitted, from the variables bound so far *)
+  let emit step =
+    let step =
+      match step with
+      | Scan (a, _) ->
+        Scan (a, List.concat (List.mapi (fun i t -> if ground t then [ i ] else []) a.Atom.args))
+      | Delta _ | Neq _ | Absent _ -> step
+    in
+    steps := step :: !steps;
+    match step with
+    | Scan (a, _) | Delta a -> bound := Atom.vars a @ !bound
+    | Neq _ | Absent _ -> ()
+  in
+  let j = ref (-1) in
+  let lits =
     List.map
       (function
-        | Rule.Neq (x, y) -> `Neq (x, y)
-        | Rule.Neg a -> `Neg a
-        | Rule.Pos a -> (
-          incr pos_idx;
-          match delta with
-          | Some (j, tuples) when j = !pos_idx -> `Delta (a, tuples)
-          | Some _ | None -> `Pos a))
-      body
+        | Rule.Pos a ->
+          incr j;
+          if delta = Some !j then Delta a else Scan (a, [])
+        | Rule.Neq (x, y) -> Neq (x, y)
+        | Rule.Neg a -> Absent a)
+      r.Rule.body
   in
-  let has_negation = List.exists (function `Neg _ -> true | _ -> false) tagged in
-  if has_negation then begin
-    (* static order (the pre-reordering behavior), delta first *)
-    let rec go lits s pending =
-      match lits with
-      | [] ->
-        let ok = List.for_all (fun c -> constraint_state s c = `Holds) pending in
-        if ok then f s
-      | (`Neq _ | `Neg _) as c :: rest -> (
-        match constraint_state s c with
-        | `Holds -> go rest s pending
-        | `Fails -> ()
-        | `Deferred -> go rest s (c :: pending))
-      | `Pos a :: rest ->
-        Fact_store.iter_matches store a ~init:s (fun s' -> go rest s' pending)
-      | `Delta (a, tuples) :: rest ->
-        Fact_store.iter_matches_in a tuples ~init:s (fun s' -> go rest s' pending)
-    in
-    let lits =
-      match
-        List.partition
-          (function `Delta _ -> true | `Pos _ | `Neq _ | `Neg _ -> false)
-          tagged
-      with
-      | [], rest -> rest
-      | deltas, rest -> deltas @ rest
-    in
-    go lits init []
+  let first, lits = List.partition (function Delta _ -> true | _ -> false) lits in
+  if Rule.has_negation r then begin
+    let deferred = ref [] in
+    List.iter (fun l -> if ready l then emit l else deferred := l :: !deferred) (first @ lits);
+    List.iter emit (List.rev !deferred)
   end
   else begin
-    (* Most-bound-first dynamic join. Purely an evaluation-order change:
-       disequalities are store-independent, so checking them earlier only
-       prunes — the satisfying-substitution set is unchanged. *)
-    let deltas, positives, constraints =
-      List.fold_right
-        (fun lit (ds, ps, cs) ->
-          match lit with
-          | `Delta (a, tuples) -> ((a, tuples) :: ds, ps, cs)
-          | `Pos a -> (ds, a :: ps, cs)
-          | (`Neq _) as c -> (ds, ps, c :: cs)
-          | `Neg _ -> assert false (* this branch is Neg-free *))
-        tagged ([], [], [])
+    let atoms, pending = List.partition (function Scan _ -> true | _ -> false) lits in
+    let pending = ref pending in
+    let flush () =
+      let now, later = List.partition ready !pending in
+      List.iter emit now;
+      pending := later
     in
-    (* Groundness of [t] under [s] without building [Subst.apply s t]:
-       every variable must be bound (matching binds to ground store
-       tuples, but double-check groundness of the image to be exact). *)
-    let ground_under s t =
-      Term.is_ground t
-      || Term.vars_fold
-           (fun acc x ->
-             acc
-             && match Subst.find x s with
-                | Some u -> Term.is_ground u
-                | None -> false)
-           true t
+    let score = function Scan (a, _) -> List.length (List.filter ground a.Atom.args) | _ -> 0 in
+    (* the leader wins ties; a displaced leader goes behind the atoms it
+       was compared with *)
+    let rec pick_most_bound best best_score seen = function
+      | [] -> (best, List.rev seen)
+      | a :: rest ->
+        let sc = score a in
+        if sc > best_score then pick_most_bound a sc (best :: seen) rest
+        else pick_most_bound best best_score (a :: seen) rest
     in
-    let bound_args s (a : Atom.t) =
-      List.fold_left (fun n t -> if ground_under s t then n + 1 else n) 0 a.Atom.args
+    let rec join = function
+      | [] -> List.iter emit !pending (* never ground: they fail when run *)
+      | a :: rest ->
+        let next, rest = pick_most_bound a (score a) [] rest in
+        emit next;
+        flush ();
+        join rest
     in
-    (* Check currently-checkable constraints; [None] on failure. *)
-    let filter_constraints s cs =
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | c :: rest -> (
-          match constraint_state s c with
-          | `Holds -> go acc rest
-          | `Fails -> None
-          | `Deferred -> go (c :: acc) rest)
-      in
-      go [] cs
-    in
-    (* Most arguments ground first; [>] keeps ties in body order. *)
-    let pick_most_bound s poss =
-      let rec go best_a best_score seen = function
-        | [] -> (best_a, List.rev seen)
-        | a :: rest ->
-          let sc = bound_args s a in
-          if sc > best_score then go a sc (best_a :: seen) rest
-          else go best_a best_score (a :: seen) rest
-      in
-      match poss with
-      | [] -> assert false
-      | a :: rest -> go a (bound_args s a) [] rest
-    in
-    let rec go s cs deltas poss =
-      match filter_constraints s cs with
-      | None -> ()
-      | Some cs -> (
-        match deltas with
-        | (a, tuples) :: drest ->
-          Fact_store.iter_matches_in a tuples ~init:s (fun s' -> go s' cs drest poss)
-        | [] -> (
-          match poss with
-          | [] -> if cs = [] then f s
-          | _ :: _ ->
-            let a, rest = pick_most_bound s poss in
-            Fact_store.iter_matches store a ~init:s (fun s' -> go s' cs [] rest)))
-    in
-    go init constraints deltas positives
-  end
+    flush ();
+    List.iter (fun d -> emit d; flush ()) first;
+    join atoms
+  end;
+  { rule = r; steps = List.rev !steps }
+
+(** The one executor: call [f s] for every substitution [s] satisfying the
+    plan's steps in order, [Delta] steps matching [tuples]. *)
+let rec exec store tuples steps s f =
+  match steps with
+  | [] -> f s
+  | Scan (a, mask) :: rest ->
+    Fact_store.iter_matches store a ~mask s (fun s -> exec store tuples rest s f)
+  | Delta a :: rest -> Fact_store.iter_matches_in a tuples s (fun s -> exec store tuples rest s f)
+  | Neq (x, y) :: rest ->
+    let x = Subst.apply s x and y = Subst.apply s y in
+    if Term.is_ground x && Term.is_ground y && not (Term.equal x y) then
+      exec store tuples rest s f
+  | Absent a :: rest ->
+    let a = Atom.apply s a in
+    if Atom.is_ground a && not (Fact_store.mem store a) then exec store tuples rest s f
 
 exception Stop of status
 
@@ -187,9 +165,9 @@ let clipped_c = Obs.Metrics.counter "eval.clipped"
 let rounds_c = Obs.Metrics.counter "eval.rounds"
 let delta_size_h = Obs.Metrics.histogram "eval.delta_size"
 
-(** Run one rule against the store, adding derived heads. *)
-let fire_rule store opts stats (r : Rule.t) ?delta add_new =
-  eval_body store r.Rule.body ~init:Subst.empty ?delta (fun s ->
+(** Run one plan against the store, adding derived heads. *)
+let fire store opts stats { rule = r; steps } ?(tuples = []) add_new =
+  exec store tuples steps Subst.empty (fun s ->
       stats.derivations <- stats.derivations + 1;
       Obs.Metrics.incr rules_fired_c;
       let head = Atom.apply s r.Rule.head in
@@ -228,25 +206,61 @@ let final_status opts stats =
 let naive ?(options = default_options) (program : Program.t) (store : Fact_store.t) : result =
   let facts, program = Program.partition_facts program in
   List.iter (fun a -> ignore (Fact_store.add store a)) facts;
+  let plans = List.map (fun r -> plan r ~delta:None) (Program.rules program) in
   let stats = fresh_stats () in
   let rec loop () =
     check_rounds options stats;
     let before = Fact_store.count store in
-    List.iter (fun r -> fire_rule store options stats r (fun _ -> ())) (Program.rules program);
+    List.iter (fun p -> fire store options stats p (fun _ -> ())) plans;
     if Fact_store.count store > before then loop ()
   in
   match loop () with
   | () -> { status = final_status options stats; stats }
   | exception Stop st -> { status = st; stats }
 
+(** A program compiled for semi-naive evaluation: its ground facts, and
+    every rule planned once per positive body atom, for the firings driven
+    by a delta on that atom's relation (once with no delta for a rule
+    without positive atoms). It grows in place, one rule at a time; a
+    fixpoint never re-plans. *)
+type compiled = {
+  mutable facts : Atom.t list;  (* newest first *)
+  mutable bodyless : plan list;  (* newest first *)
+  occurrences : (Symbol.t, plan list) Hashtbl.t;
+      (* the plans driven by a delta on the key relation, newest first:
+         a round only touches the rules whose delta is nonempty *)
+}
+
+let empty () = { facts = []; bodyless = []; occurrences = Hashtbl.create 64 }
+
+let add_rule c (r : Rule.t) =
+  if Rule.is_fact r && Atom.is_ground r.Rule.head then c.facts <- r.Rule.head :: c.facts
+  else
+    match Rule.body_atoms r with
+    | [] ->
+      (* Non-ground fact rules are rejected when fired. Rules whose body
+         is only constraints cannot be range restricted unless
+         variable-free. *)
+      c.bodyless <- plan r ~delta:None :: c.bodyless
+    | atoms ->
+      List.iteri
+        (fun j (atom : Atom.t) ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt c.occurrences atom.Atom.rel) in
+          Hashtbl.replace c.occurrences atom.Atom.rel (plan r ~delta:(Some j) :: prev))
+        atoms
+
+let compile program =
+  let c = empty () in
+  List.iter (add_rule c) (Program.rules program);
+  c
+
 (** Semi-naive evaluation: each round only considers rule instantiations in
     which at least one body atom matches a fact derived in the previous
     round. [init_delta], when given, replaces the default initial delta (the
     whole store) — used for incremental re-evaluation when new facts arrive
     from the network. [on_new] observes every fact added to the store. *)
-let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.t) -> ())
-    (program : Program.t) (store : Fact_store.t) : result =
-  let facts, program = Program.partition_facts program in
+let seminaive_compiled ?(options = default_options) ?init_delta
+    ?(on_new = fun (_ : Atom.t) -> ()) (c : compiled) (store : Fact_store.t) : result =
   let stats = fresh_stats () in
   let delta : (Symbol.t, Term.t list list) Hashtbl.t = Hashtbl.create 64 in
   let delta_add (a : Atom.t) =
@@ -266,29 +280,7 @@ let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.
         delta_add a;
         on_new a
       end)
-    facts;
-  (* Index the rules by the relations of their positive body atoms, so a
-     round only touches the rules whose delta is nonempty. Firing order
-     within a round does not affect the fixpoint. *)
-  let occurrences : (Symbol.t, (Rule.t * int) list) Hashtbl.t = Hashtbl.create 64 in
-  let bodyless = ref [] in
-  List.iter
-    (fun r ->
-      let atoms = Rule.body_atoms r in
-      if atoms = [] then
-        (* Non-ground fact rules were rejected earlier; ground ones already
-           added. Rules whose body is only constraints cannot be range
-           restricted unless variable-free. *)
-        bodyless := r :: !bodyless
-      else
-        List.iteri
-          (fun j atom ->
-            let prev =
-              Option.value ~default:[] (Hashtbl.find_opt occurrences atom.Atom.rel)
-            in
-            Hashtbl.replace occurrences atom.Atom.rel ((r, j) :: prev))
-          atoms)
-    (Program.rules program);
+    (List.rev c.facts);
   let rec loop () =
     check_rounds options stats;
     Obs.Metrics.observe_int delta_size_h
@@ -304,12 +296,12 @@ let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.
       next_add a;
       on_new a
     in
-    List.iter (fun r -> fire_rule store options stats r add_new) !bodyless;
+    List.iter (fun p -> fire store options stats p add_new) c.bodyless;
     Hashtbl.iter
       (fun rel tuples ->
         List.iter
-          (fun (r, j) -> fire_rule store options stats r ~delta:(j, tuples) add_new)
-          (Option.value ~default:[] (Hashtbl.find_opt occurrences rel)))
+          (fun p -> fire store options stats p ~tuples add_new)
+          (Option.value ~default:[] (Hashtbl.find_opt c.occurrences rel)))
       delta;
     if !fired then begin
       Hashtbl.reset delta;
@@ -320,6 +312,9 @@ let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.
   match loop () with
   | () -> { status = final_status options stats; stats }
   | exception Stop st -> { status = st; stats }
+
+let seminaive ?options ?init_delta ?on_new program store =
+  seminaive_compiled ?options ?init_delta ?on_new (compile program) store
 
 (* ------------------------------------------------------------------ *)
 (* Negation (Remark 4)                                                 *)
@@ -374,6 +369,17 @@ let stratify (program : Program.t) : (Program.t list, string) Stdlib.result =
 
 exception Not_stratifiable of string
 
+(* Add [r]'s counts to [merged]; the worse of [status] and [r]'s wins. *)
+let merge merged status (r : result) =
+  merged.derivations <- merged.derivations + r.stats.derivations;
+  merged.new_facts <- merged.new_facts + r.stats.new_facts;
+  merged.clipped <- merged.clipped + r.stats.clipped;
+  merged.rounds <- merged.rounds + r.stats.rounds;
+  match status, r.status with
+  | Budget_exhausted, _ | _, Budget_exhausted -> Budget_exhausted
+  | Depth_clipped, _ | _, Depth_clipped -> Depth_clipped
+  | Fixpoint, Fixpoint -> Fixpoint
+
 (** Evaluate a stratified program bottom-up: semi-naive per stratum, lowest
     first, so every negated atom is tested against a complete relation.
     @raise Not_stratifiable on negative cycles. *)
@@ -385,16 +391,7 @@ let stratified ?(options = default_options) (program : Program.t) (store : Fact_
     let merged = fresh_stats () in
     let status =
       List.fold_left
-        (fun acc stratum ->
-          let r = seminaive ~options stratum store in
-          merged.derivations <- merged.derivations + r.stats.derivations;
-          merged.new_facts <- merged.new_facts + r.stats.new_facts;
-          merged.clipped <- merged.clipped + r.stats.clipped;
-          merged.rounds <- merged.rounds + r.stats.rounds;
-          match acc, r.status with
-          | Budget_exhausted, _ | _, Budget_exhausted -> Budget_exhausted
-          | Depth_clipped, _ | _, Depth_clipped -> Depth_clipped
-          | Fixpoint, Fixpoint -> Fixpoint)
+        (fun acc stratum -> merge merged acc (seminaive ~options stratum store))
         Fixpoint strata
     in
     { status; stats = merged }
@@ -414,48 +411,32 @@ let alternating ?(options = default_options) (program : Program.t) (store : Fact
   let positive, negated =
     List.partition (fun r -> not (Rule.has_negation r)) (Program.rules program)
   in
-  let positive = Program.make positive in
+  let positive = compile (Program.make positive) in
+  let negated = List.map (fun r -> plan r ~delta:None) negated in
   let merged = fresh_stats () in
-  let clipped_status = ref false in
-  let budget = ref false in
-  let accum (r : result) =
-    merged.derivations <- merged.derivations + r.stats.derivations;
-    merged.new_facts <- merged.new_facts + r.stats.new_facts;
-    merged.clipped <- merged.clipped + r.stats.clipped;
-    merged.rounds <- merged.rounds + r.stats.rounds;
-    (match r.status with
-    | Depth_clipped -> clipped_status := true
-    | Budget_exhausted -> budget := true
-    | Fixpoint -> ())
-  in
+  let status = ref Fixpoint in
   let rec loop () =
     let before = Fact_store.count store in
-    accum (seminaive ~options positive store);
-    if not !budget then begin
+    status := merge merged !status (seminaive_compiled ~options positive store);
+    if !status <> Budget_exhausted then begin
       (* one pass of the negation rules against the saturated store *)
       List.iter
-        (fun r ->
-          match fire_rule store options merged r (fun _ -> ()) with
+        (fun p ->
+          match fire store options merged p (fun _ -> ()) with
           | () -> ()
-          | exception Stop _ -> budget := true)
+          | exception Stop st -> status := st)
         negated;
-      if Fact_store.count store > before && not !budget then loop ()
+      if Fact_store.count store > before && !status <> Budget_exhausted then loop ()
     end
   in
   loop ();
-  let status =
-    if !budget then Budget_exhausted
-    else if !clipped_status || merged.clipped > 0 then Depth_clipped
-    else Fixpoint
-  in
+  let status = if !status = Fixpoint && merged.clipped > 0 then Depth_clipped else !status in
   { status; stats = merged }
 
 (** Answers to a query atom: all ground instantiations of [query] present in
     the store. *)
 let answers store (query : Atom.t) =
-  List.map
-    (fun s -> Atom.apply s query)
-    (Fact_store.matches store query ~init:Subst.empty)
+  List.map (fun s -> Atom.apply s query) (Fact_store.matches store query)
 
 (** Convenience wrapper: evaluate [program] from scratch with the given
     strategy and return the store, the result, and the answers to [query]. *)

@@ -43,6 +43,24 @@ val seminaive :
     store) for incremental re-evaluation; [on_new] observes every added
     fact (the distributed engines forward them to subscribers). *)
 
+type compiled
+(** Rules planned once per delta position for {!seminaive_compiled}: the
+    join order is fixed then, not per firing. Grows in place. *)
+
+val empty : unit -> compiled
+val add_rule : compiled -> Rule.t -> unit
+(** Plan the rule now and add it; a ground body-less rule is a fact. *)
+
+val seminaive_compiled :
+  ?options:options ->
+  ?init_delta:Atom.t list ->
+  ?on_new:(Atom.t -> unit) ->
+  compiled ->
+  Fact_store.t ->
+  result
+(** {!seminaive} over a compiled program, which the per-peer runtimes
+    extend as rules are installed. *)
+
 val stratify : Program.t -> (Program.t list, string) Stdlib.result
 (** Split into strata with every negated relation fully defined strictly
     below; [Error rel] names a relation on a negative cycle. *)

@@ -147,58 +147,49 @@ let ensure_index rs (mask : int list) =
     Obs.Metrics.observe index_build_h (Obs.Clock.now_s () -. t0);
     idx
 
-(* The ground positions of the pattern under [s] (sorted ascending, with
-   their ground values): the compound index key covering every bound
-   argument, so a lookup returns only genuinely matching candidates. *)
-let ground_positions s (args : Term.t list) =
-  let rec go i = function
-    | [] -> ([], [])
-    | a :: rest ->
-      let mask, key = go (i + 1) rest in
-      let a = Subst.apply s a in
-      if Term.is_ground a then (i :: mask, a :: key) else (mask, key)
-  in
-  go 0 args
+let match_each (pattern : Atom.t) tuples s f =
+  List.iter
+    (fun args ->
+      match Unify.match_lists ~init:s pattern.Atom.args args with
+      | Some s -> f s
+      | None -> ())
+    tuples
 
-(** [iter_matches t pattern ~init f] calls [f s] for every substitution [s]
-    extending [init] such that [Subst.apply s pattern] is a stored fact. *)
-let iter_matches t (pattern : Atom.t) ~init f =
+(** [iter_matches t pattern ~mask s f] calls [f s'] for every substitution
+    [s'] extending [s] such that [Subst.apply s' pattern] is a stored fact.
+    [mask] lists, ascending, the argument positions of [pattern] ground
+    under [s]: the compound index key covering every bound argument, so a
+    lookup returns only genuinely matching candidates. *)
+let iter_matches t (pattern : Atom.t) ~mask s f =
   match Hashtbl.find_opt t.rels pattern.Atom.rel with
   | None -> ()
   | Some rs ->
     Obs.Metrics.incr probes_c;
-    let full_scan, candidates =
-      match ground_positions init pattern.Atom.args with
-      | [], _ -> (true, rs.tuples)
-      | mask, key ->
-        let idx = ensure_index rs mask in
-        (false, Option.value ~default:[] (Tuple_tbl.find_opt idx key))
+    let candidates =
+      match mask with
+      | [] ->
+        Obs.Metrics.incr ~by:rs.n full_scans_c;
+        rs.tuples
+      | _ :: _ ->
+        let key = List.map (Subst.apply s) (project_mask mask pattern.Atom.args) in
+        Option.value ~default:[] (Tuple_tbl.find_opt (ensure_index rs mask) key)
     in
-    let n = List.length candidates in
-    Obs.Metrics.incr ~by:n candidates_c;
-    if full_scan then Obs.Metrics.incr ~by:n full_scans_c;
-    List.iter
-      (fun args ->
-        match Unify.match_lists ~init pattern.Atom.args args with
-        | Some s -> f s
-        | None -> ())
-      candidates
+    Obs.Metrics.incr ~by:(List.length candidates) candidates_c;
+    match_each pattern candidates s f
 
-let matches t pattern ~init =
+let matches t (pattern : Atom.t) =
+  let mask =
+    List.concat (List.mapi (fun i a -> if Term.is_ground a then [ i ] else []) pattern.Atom.args)
+  in
   let acc = ref [] in
-  iter_matches t pattern ~init (fun s -> acc := s :: !acc);
+  iter_matches t pattern ~mask Subst.empty (fun s -> acc := s :: !acc);
   List.rev !acc
 
 (** Iterate over matches restricted to an explicit list of candidate tuples
     (used by the semi-naive engine to drive joins from a delta). *)
-let iter_matches_in (pattern : Atom.t) tuples ~init f =
+let iter_matches_in (pattern : Atom.t) tuples s f =
   Obs.Metrics.incr ~by:(List.length tuples) delta_scans_c;
-  List.iter
-    (fun args ->
-      match Unify.match_lists ~init pattern.Atom.args args with
-      | Some s -> f s
-      | None -> ())
-    tuples
+  match_each pattern tuples s f
 
 (* Bulk copy: share the (immutable) tuples list, duplicate the membership
    table, and leave indexes to be rebuilt lazily on first bound probe —

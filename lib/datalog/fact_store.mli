@@ -34,13 +34,17 @@ val tuples_of : t -> Symbol.t -> Term.t list list
 val facts_of : t -> Symbol.t -> Atom.t list
 val all : t -> Atom.t list
 
-val iter_matches : t -> Atom.t -> init:Subst.t -> (Subst.t -> unit) -> unit
-(** [iter_matches t pattern ~init f] calls [f s] for every substitution [s]
-    extending [init] such that [apply s pattern] is a stored fact. *)
+val iter_matches : t -> Atom.t -> mask:int list -> Subst.t -> (Subst.t -> unit) -> unit
+(** [iter_matches t pattern ~mask s f] calls [f s'] for every substitution
+    [s'] extending [s] such that [apply s' pattern] is a stored fact.
+    [mask] lists, ascending, the argument positions ground under [s] (a
+    join plan knows them in advance); the probe uses the index over
+    exactly those positions. *)
 
-val matches : t -> Atom.t -> init:Subst.t -> Subst.t list
+val matches : t -> Atom.t -> Subst.t list
+(** The substitutions making the pattern a stored fact. *)
 
-val iter_matches_in : Atom.t -> Term.t list list -> init:Subst.t -> (Subst.t -> unit) -> unit
+val iter_matches_in : Atom.t -> Term.t list list -> Subst.t -> (Subst.t -> unit) -> unit
 (** Like {!iter_matches} but against an explicit tuple list (the semi-naive
     delta). *)
 

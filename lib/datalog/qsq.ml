@@ -251,6 +251,6 @@ let solve ?(options = Eval.default_options) (program : Program.t) (query : Atom.
   let answers =
     List.map
       (fun s -> Atom.apply s rw.query)
-      (Fact_store.matches store rw.answer_pattern ~init:Subst.empty)
+      (Fact_store.matches store rw.answer_pattern)
   in
   (store, result, answers)

@@ -103,6 +103,17 @@ let test_alternating_on_stratified_program () =
   Alcotest.(check (list string)) "same model"
     (Fact_store.to_sorted_strings s1) (Fact_store.to_sorted_strings s2)
 
+let test_deferred_not_checked_per_derivation () =
+  (* [not s(Y)] is not ground where it stands, so it is checked once per
+     derivation, after [u(X)], against the store as it is then: the first
+     derivation adds s(b), which blocks the second. Checking it as soon as
+     [t(Y)] binds Y would pass it once for both u-facts and derive s(a). *)
+  let p = Parser.parse_program "t(b). u(a). u(b). s(X) :- not s(Y), t(Y), u(X)." in
+  let store = Fact_store.create () in
+  ignore (Eval.naive p store);
+  Alcotest.(check (list string)) "model" [ "s(b)"; "t(b)"; "u(a)"; "u(b)" ]
+    (Fact_store.to_sorted_strings store)
+
 (* qcheck: stratified vs alternating on random reachability instances *)
 let prop_alternating_eq_stratified =
   QCheck.Test.make ~count:80 ~name:"alternating == stratified (random graphs)"
@@ -199,7 +210,9 @@ let suite =
         Alcotest.test_case "stratified eval" `Quick test_stratified_eval;
         Alcotest.test_case "raises on cycle" `Quick test_stratified_raises_on_cycle;
         Alcotest.test_case "alternating on stratified" `Quick
-          test_alternating_on_stratified_program ]
+          test_alternating_on_stratified_program;
+        Alcotest.test_case "deferred not checked per derivation" `Quick
+          test_deferred_not_checked_per_derivation ]
       @ qcheck [ prop_alternating_eq_stratified ] );
     ( "negation-encoding",
       [ Alcotest.test_case "not classically stratifiable" `Quick

@@ -168,14 +168,14 @@ let test_store_indexing () =
   add "x" "y";
   let pattern = Atom.make "e" [ Term.const "a"; Term.var "Y" ] in
   Alcotest.(check int) "two matches" 2
-    (List.length (Fact_store.matches store pattern ~init:Subst.empty));
+    (List.length (Fact_store.matches store pattern));
   add "a" "d";
   Alcotest.(check int) "index maintained on insert" 3
-    (List.length (Fact_store.matches store pattern ~init:Subst.empty));
+    (List.length (Fact_store.matches store pattern));
   (* second-position index *)
   let pattern2 = Atom.make "e" [ Term.var "X"; Term.const "y" ] in
   Alcotest.(check int) "one match on pos 2" 1
-    (List.length (Fact_store.matches store pattern2 ~init:Subst.empty))
+    (List.length (Fact_store.matches store pattern2))
 
 let test_store_copy_isolated () =
   let store = Fact_store.create () in
@@ -193,7 +193,7 @@ let test_store_function_terms () =
   let pattern =
     Atom.make "places" [ Term.app "g" [ Term.var "X"; Term.const "c1" ]; Term.var "Y" ]
   in
-  match Fact_store.matches store pattern ~init:Subst.empty with
+  match Fact_store.matches store pattern with
   | [ s ] ->
     Alcotest.check term "X bound inside structure" (Term.app "f" [ Term.const "i" ])
       (Subst.apply s (Term.var "X"))
@@ -321,7 +321,22 @@ let test_runtime_install_idempotent () =
   let r = Parser.parse_rule "a(X) :- b(X)." in
   Alcotest.(check bool) "first install" true (Runtime.install rt r);
   Alcotest.(check bool) "second install" false (Runtime.install rt r);
-  Alcotest.(check int) "one rule" 1 (List.length (Runtime.rules rt))
+  ignore (Runtime.add_fact rt (Parser.parse_atom "b(c)"));
+  ignore (Runtime.evaluate rt);
+  Alcotest.(check int) "one rule fires once" 1 rt.Runtime.derivations
+
+let test_runtime_reset_drops_plans () =
+  (* a recycled (warm) runtime must not keep the last session's planned
+     rules: after [reset] the rule is gone, so nothing derives [a] *)
+  let rt = Runtime.create "p" in
+  let r = Parser.parse_rule "a(X) :- b(X)." in
+  ignore (Runtime.install rt r);
+  Runtime.reset rt;
+  ignore (Runtime.add_fact rt (Parser.parse_atom "b(c)"));
+  Alcotest.(check int) "no rule fires" 0 (List.length (Runtime.evaluate rt));
+  Alcotest.(check (list string)) "no a fact" [ "b(c)" ]
+    (Fact_store.to_sorted_strings (Runtime.store rt));
+  Alcotest.(check bool) "re-install is new" true (Runtime.install rt r)
 
 (* ------------------------------------------------------------------ *)
 (* Canon                                                              *)
@@ -474,7 +489,8 @@ let suite =
         Alcotest.test_case "rule peers" `Quick test_drule_peers;
         Alcotest.test_case "message wire codec" `Quick test_message_wire;
         Alcotest.test_case "runtime subscribe" `Quick test_runtime_subscribe;
-        Alcotest.test_case "runtime install" `Quick test_runtime_install_idempotent ] );
+        Alcotest.test_case "runtime install" `Quick test_runtime_install_idempotent;
+        Alcotest.test_case "runtime reset drops plans" `Quick test_runtime_reset_drops_plans ] );
     ( "canon",
       [ Alcotest.test_case "roundtrip" `Quick test_canon_roundtrip;
         Alcotest.test_case "depth agreement" `Quick test_canon_depth_agreement ] );
