@@ -658,91 +658,6 @@ let e18 ?(ci = false) () =
     (e18_scenarios ~ci)
 
 (* ------------------------------------------------------------------ *)
-(* E19: domain-parallel dQSQ                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Each peer runs on its own OCaml domain (Network.Sim.run_parallel). The
-   protocol is confluent — idempotent delegations and subscriptions over
-   monotone Datalog — so every parallel row must report the very same
-   diagnosis and fact total as the sequential scheduler; the equal column
-   asserts it. Wall-clock speedup depends on the host's core count
-   (printed below): on a single-core container the parallel rows only pay
-   synchronization overhead, which is itself worth recording. Per-mode
-   times also land in BENCH_diag.json as E19/<mode> pseudo-experiments. *)
-let e19_times : (string * float) list ref = ref []
-
-let e19 ?(ci = false) () =
-  section "E19" "Domain-parallel dQSQ: sequential scheduler vs 1/2/4 domains";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "(host: %d recommended domain(s))\n" cores;
-  (* The CI perf gate needs real parallelism to be meaningful, so on a
-     multi-core host [--ci] runs the full deep-ring scenarios (the ROADMAP
-     success criterion: jobs=4 beats sequential on ring4@s5 and ring5@s6)
-     and fails the build on a regression; on smaller hosts it keeps the
-     tiny smoke scenario and skips the assertion with a warning. *)
-  let gated = ci && cores >= 4 in
-  let scenarios =
-    if gated || not ci then [ ("ring4@s5", 4, 104, 5); ("ring5@s6", 5, 105, 6) ]
-    else [ ("ring4@s3", 4, 104, 3) ]
-  in
-  Printf.printf "%-12s %-10s | %9s %8s %10s | %6s\n" "scenario" "mode" "wall" "facts"
-    "deliveries" "equal";
-  List.iter
-    (fun (name, peers, seed, steps) ->
-      let net = Petri.Net.binarize (Petri.Examples.ring ~peers ()) in
-      let firing = Petri.Exec.random_execution ~rng:(rng seed) ~steps net in
-      let a = alarms (Petri.Exec.alarms_of_execution net firing) in
-      let prepared = Diagnoser.prepare net a in
-      let time engine =
-        Gc.compact ();
-        let t0 = Obs.Clock.now_s () in
-        let r = Diagnoser.run prepared engine in
-        (Obs.Clock.now_s () -. t0, r)
-      in
-      let t_seq, r_seq =
-        time (Diagnoser.Distributed { seed = 0; policy = Network.Sim.Random_interleaving })
-      in
-      let row mode dt (r : Diagnoser.result) =
-        e19_times := (Printf.sprintf "E19/%s/%s" name mode, dt) :: !e19_times;
-        Printf.printf "%-12s %-10s | %8.3fs %8d %10d | %6b\n" name mode dt
-          r.Diagnoser.facts_total
-          (match r.Diagnoser.comm with Some c -> c.Diagnoser.deliveries | None -> 0)
-          (Canon.equal_diagnosis r.Diagnoser.diagnosis r_seq.Diagnoser.diagnosis)
-      in
-      row "sequential" t_seq r_seq;
-      List.iter
-        (fun jobs ->
-          let dt, r = time (Diagnoser.Distributed_parallel { jobs }) in
-          if not (Canon.equal_diagnosis r.Diagnoser.diagnosis r_seq.Diagnoser.diagnosis)
-          then Printf.printf "!! parallel diagnosis differs at jobs=%d\n" jobs;
-          row (Printf.sprintf "jobs=%d" jobs) dt r)
-        [ 1; 2; 4 ])
-    scenarios;
-  e19_times := List.rev !e19_times;
-  if ci then
-    if not gated then
-      Printf.printf
-        "E19 gate: SKIPPED — host has %d recommended domain(s) < 4; the\n\
-         jobs=4-beats-sequential assertion needs real cores.\n"
-        cores
-    else
-      List.iter
-        (fun (name, _, _, _) ->
-          let wall mode =
-            List.assoc (Printf.sprintf "E19/%s/%s" name mode) !e19_times
-          in
-          let t_seq = wall "sequential" and t_par = wall "jobs=4" in
-          if t_par > t_seq then
-            failwith
-              (Printf.sprintf
-                 "E19 gate: jobs=4 (%.3fs) slower than sequential (%.3fs) on %s"
-                 t_par t_seq name)
-          else
-            Printf.printf "E19 gate: OK on %s (jobs=4 %.3fs <= sequential %.3fs)\n"
-              name t_par t_seq)
-        scenarios
-
-(* ------------------------------------------------------------------ *)
 (* E20: the diagnosis service under interleaved session load            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1266,15 +1181,6 @@ let output_digests () =
   in
   let d = (Diagnoser.diagnose net running_alarms).Diagnoser.diagnosis in
   let frame = Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements d) in
-  (* the same scenario under the parallel scheduler (4 domains, stealing
-     allowed): confluence + structural sorting promise a byte-identical
-     report regardless of the schedule, and this digest holds it to that *)
-  let d_par =
-    (Diagnoser.run
-       (Diagnoser.prepare net running_alarms)
-       (Diagnoser.Distributed_parallel { jobs = 4 }))
-      .Diagnoser.diagnosis
-  in
   let cycle = Petri.Net.binarize (e21_net ()) in
   let o = Online.start cycle in
   for k = 0 to 999 do
@@ -1287,7 +1193,6 @@ let output_digests () =
   Online.release o;
   let hex s = Digest.to_hex (Digest.string s) in
   [ ("running/report", hex (Report.to_string net d));
-    ("running/report_jobs4", hex (Report.to_string net d_par));
     ("running/configs_frame", hex frame);
     ("fig3/program", hex (Dprogram.to_string (Dprogram.figure3 ())));
     ("cycle1k/report", hex stream_report);
@@ -1413,15 +1318,15 @@ let () =
   end;
   let experiments =
     if ci then
-      [ ("E18", fun () -> e18 ~ci:true ()); ("E19", fun () -> e19 ~ci:true ());
-        ("E20", fun () -> e20 ~ci:true ()); ("E21", fun () -> e21 ~ci:true ());
+      [ ("E18", fun () -> e18 ~ci:true ()); ("E20", fun () -> e20 ~ci:true ());
+        ("E21", fun () -> e21 ~ci:true ());
         ("E22", fun () -> e22 ~ci:true ()) ]
     else
       [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
         ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
         ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-        ("E17", e17); ("E18", fun () -> e18 ()); ("E19", fun () -> e19 ());
-        ("E20", fun () -> e20 ()); ("E21", fun () -> e21 ());
+        ("E17", e17); ("E18", fun () -> e18 ()); ("E20", fun () -> e20 ());
+        ("E21", fun () -> e21 ());
         ("E22", fun () -> e22 ()) ]
   in
   let experiments =
@@ -1443,7 +1348,7 @@ let () =
   in
   metrics_section stats_json_file;
   write_bench_json bench_json_file
-    (times @ !e19_times @ !e20_rows @ !e21_rows @ !e22_rows)
+    (times @ !e20_rows @ !e21_rows @ !e22_rows)
     digests;
   if not (no_timings || ci) then timings ();
   Printf.printf "\n%s\nAll experiments completed.\n" line

@@ -155,7 +155,7 @@ let engine_conv =
       ("reference", `Reference) ]
 
 let diagnose_cmd =
-  let run path alarms_opt engine seed parallel jobs verbose stats trace =
+  let run path alarms_opt engine seed verbose stats trace =
     enable_trace trace;
     let f = load path in
     let net = Petri.Net.binarize f.Petri.Parse.net in
@@ -186,18 +186,7 @@ let diagnose_cmd =
           match e with
           | `Qsq -> Diagnoser.Centralized_qsq
           | `Magic -> Diagnoser.Centralized_magic
-          | `Dqsq ->
-            if parallel || jobs <> None then
-              let jobs =
-                match jobs with
-                | Some j when j >= 1 -> j
-                | Some _ ->
-                  Printf.eprintf "error: --jobs must be >= 1\n";
-                  exit 2
-                | None -> Domain.recommended_domain_count ()
-              in
-              Diagnoser.Distributed_parallel { jobs }
-            else Diagnoser.Distributed { seed; policy = Network.Sim.Random_interleaving }
+          | `Dqsq -> Diagnoser.Distributed { seed; policy = Network.Sim.Random_interleaving }
         in
         let r = Diagnoser.diagnose ~engine net alarms in
         let comm =
@@ -235,24 +224,11 @@ let diagnose_cmd =
          & info [ "engine" ] ~doc:"One of qsq, magic, dqsq, product, reference.")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Scheduler seed (dqsq).") in
-  let parallel =
-    Arg.(value & flag
-         & info [ "parallel" ]
-             ~doc:"With --engine dqsq: run each peer on its own OCaml domain \
-                   (default domain count: the machine's). The diagnosis is \
-                   identical to the sequential run.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"With --engine dqsq: number of domains for the parallel \
-                   scheduler (implies --parallel).")
-  in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print event terms.") in
   Cmd.v
     (Cmd.info "diagnose" ~doc:"Diagnose an alarm sequence.")
-    Term.(const run $ file_arg $ alarms_opt $ engine $ seed $ parallel $ jobs $ verbose
-          $ stats_arg $ trace_arg)
+    Term.(const run $ file_arg $ alarms_opt $ engine $ seed $ verbose $ stats_arg
+          $ trace_arg)
 
 (* ---------------- rewrite ---------------- *)
 
@@ -384,7 +360,7 @@ let verify_cmd =
    recipe. Deterministic for a given seed. *)
 
 let fuzz_cmd =
-  let run runs seed spec_str steps policy_str loss jobs props list_props max_shrink
+  let run runs seed spec_str steps policy_str loss props list_props max_shrink
       verbose stats trace =
     enable_trace trace;
     if list_props then begin
@@ -411,11 +387,6 @@ let fuzz_cmd =
       Printf.eprintf "error: --loss must be in [0, 1)\n";
       exit 2
     | _ -> ());
-    (match jobs with
-    | Some j when j < 1 ->
-      Printf.eprintf "error: --jobs must be >= 1\n";
-      exit 2
-    | _ -> ());
     let properties =
       match props with
       | [] -> Check.Property.all
@@ -434,8 +405,7 @@ let fuzz_cmd =
         Check.Runner.runs;
         seed;
         pins =
-          { Check.Gen.pin_spec; pin_steps = steps; pin_policy; pin_loss = loss;
-            pin_jobs = jobs };
+          { Check.Gen.pin_spec; pin_steps = steps; pin_policy; pin_loss = loss };
         properties;
         max_shrink_checks = max_shrink;
       }
@@ -469,11 +439,6 @@ let fuzz_cmd =
     Arg.(value & opt (some float) None
          & info [ "loss" ] ~doc:"Pin the loss rate for the lossy properties (in [0, 1)).")
   in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Pin the domain count for the parallel-eq-sequential property.")
-  in
   let props =
     Arg.(value & opt_all string []
          & info [ "property" ] ~docv:"NAME"
@@ -492,7 +457,7 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Differentially fuzz every engine pair against the paper's theorems.")
-    Term.(const run $ runs $ seed $ spec $ steps $ policy $ loss $ jobs $ props
+    Term.(const run $ runs $ seed $ spec $ steps $ policy $ loss $ props
           $ list_props $ max_shrink $ verbose $ stats_arg $ trace_arg)
 
 (* ---------------- serve ---------------- *)

@@ -7,7 +7,6 @@ type case = {
   steps : int;
   policy : Network.Sim.policy;
   loss : float;
-  jobs : int;
   net : Petri.Net.t;
   firing : string list;
   alarms : Petri.Alarm.t;
@@ -18,12 +17,9 @@ type pins = {
   pin_steps : int option;
   pin_policy : Network.Sim.policy option;
   pin_loss : float option;
-  pin_jobs : int option;
 }
 
-let no_pins =
-  { pin_spec = None; pin_steps = None; pin_policy = None; pin_loss = None;
-    pin_jobs = None }
+let no_pins = { pin_spec = None; pin_steps = None; pin_policy = None; pin_loss = None }
 
 let policies =
   [ Network.Sim.Random_interleaving; Network.Sim.Round_robin; Network.Sim.Global_fifo ]
@@ -107,7 +103,7 @@ let truncate_to_budget (net : Petri.Net.t) ~(firing : string list)
 
 let case ?(pins = no_pins) ~seed () : case =
   (* one stream for the shape choices, separate ones for net and scenario,
-     so pinning the spec does not perturb the scenario of the same seed *)
+     so a pinned spec does not perturb the scenario of the same seed *)
   let shape_rng = Random.State.make [| 0x5eed; seed; 0 |] in
   let sampled_spec = sample_spec shape_rng in
   let sampled_steps = Random.State.int shape_rng 9 in
@@ -117,17 +113,12 @@ let case ?(pins = no_pins) ~seed () : case =
   let steps = Option.value pins.pin_steps ~default:sampled_steps in
   let policy = Option.value pins.pin_policy ~default:sampled_policy in
   let loss = Option.value pins.pin_loss ~default:0.25 in
-  (* domain count for the parallel-vs-sequential property; a stream of its
-     own so pre-existing seeds keep generating the very same nets *)
-  let sampled_jobs = 1 + Random.State.int (Random.State.make [| 0x5eed; seed; 3 |]) 4 in
-  let jobs = Option.value pins.pin_jobs ~default:sampled_jobs in
-  if jobs < 1 then invalid_arg "Gen.case: jobs must be >= 1";
   let net = Petri.Generator.generate ~rng:(Random.State.make [| 0x5eed; seed; 1 |]) spec in
   let firing, alarms =
     Petri.Generator.scenario ~rng:(Random.State.make [| 0x5eed; seed; 2 |]) ~steps net
   in
   let alarms = truncate_to_budget net ~firing alarms in
-  { seed; spec; steps; policy; loss; jobs; net; firing; alarms }
+  { seed; spec; steps; policy; loss; net; firing; alarms }
 
 (* ------------------------- spec strings ------------------------- *)
 
@@ -170,6 +161,6 @@ let spec_of_string text : (Petri.Generator.spec, string) result =
       | exception Invalid_argument m -> Error m)
 
 let describe (c : case) =
-  Printf.sprintf "seed %d: %s steps=%d policy=%s loss=%.2f jobs=%d |alarms|=%d" c.seed
-    (spec_to_string c.spec) c.steps (policy_name c.policy) c.loss c.jobs
+  Printf.sprintf "seed %d: %s steps=%d policy=%s loss=%.2f |alarms|=%d" c.seed
+    (spec_to_string c.spec) c.steps (policy_name c.policy) c.loss
     (Petri.Alarm.length c.alarms)

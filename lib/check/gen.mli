@@ -12,7 +12,6 @@ type case = {
   steps : int;  (** length of the random execution behind the scenario *)
   policy : Network.Sim.policy;
   loss : float;  (** injected message-loss rate for the lossy properties *)
-  jobs : int;  (** domain count for the parallel-vs-sequential property *)
   net : Petri.Net.t;  (** as generated (not binarized) *)
   firing : string list;  (** ground-truth execution behind [alarms] *)
   alarms : Petri.Alarm.t;  (** the asynchronously delivered observation *)
@@ -23,7 +22,6 @@ type pins = {
   pin_steps : int option;  (** fix the scenario length *)
   pin_policy : Network.Sim.policy option;  (** fix the delivery policy *)
   pin_loss : float option;  (** fix the loss rate *)
-  pin_jobs : int option;  (** fix the parallel domain count *)
 }
 (** Optional overrides: anything not pinned is sampled from the seed. *)
 

@@ -10,13 +10,11 @@ type instance = {
   alarms : Petri.Alarm.t;
   policy : Network.Sim.policy;
   loss : float;
-  jobs : int;
   sim_seed : int;
 }
 
 let instance_of_case (c : Gen.case) =
-  { net = c.net; alarms = c.alarms; policy = c.policy; loss = c.loss; jobs = c.jobs;
-    sim_seed = c.seed }
+  { net = c.net; alarms = c.alarms; policy = c.policy; loss = c.loss; sim_seed = c.seed }
 
 type outcome = Pass | Fail of string
 
@@ -238,60 +236,6 @@ let reference_vs_literal i =
   let d_global = (Reference.diagnose net i.alarms).Reference.diagnosis in
   let d_literal = (Reference.diagnose_literal net i.alarms).Reference.diagnosis in
   check_equal_diagnosis ~left:"global" ~right:"literal" d_global d_literal
-
-(* ---------- parallel dQSQ == sequential dQSQ (confluence) ------- *)
-
-(* The domain-parallel scheduler must reproduce the sequential run byte for
-   byte: the protocol's guards make every delegation/subscription idempotent
-   and Datalog is monotone, so any delivery schedule reaches the same peer
-   fact sets, and the structurally-sorted answer list is schedule-free.
-   Loss-free on both sides — the parallel scheduler draws loss coins in a
-   racy order, so lossy parallel runs are legitimately nondeterministic. *)
-let parallel_eq_sequential i =
-  let p, _ = baseline i in
-  let seq =
-    Qsq_engine.solve ~seed:i.sim_seed ~policy:i.policy ~max_steps
-      p.Diagnoser.program ~edb:p.Diagnoser.edb ~query:p.Diagnoser.query
-  in
-  let answer_strings o = List.map Atom.to_string o.Qsq_engine.answers in
-  let compare_run label (par : Qsq_engine.outcome) =
-    if answer_strings par <> answer_strings seq then
-      failf "answers differ under %s: parallel %d vs sequential %d" label
-        (List.length par.Qsq_engine.answers)
-        (List.length seq.Qsq_engine.answers)
-    else if
-      not
-        (Canon.equal_diagnosis
-           (Supervisor.diagnosis_of_answers par.Qsq_engine.answers)
-           (Supervisor.diagnosis_of_answers seq.Qsq_engine.answers))
-    then
-      check_equal_diagnosis ~left:("parallel " ^ label) ~right:"sequential"
-        (Supervisor.diagnosis_of_answers par.Qsq_engine.answers)
-        (Supervisor.diagnosis_of_answers seq.Qsq_engine.answers)
-    else if par.Qsq_engine.total_facts <> seq.Qsq_engine.total_facts then
-      failf "fact totals differ under %s: parallel %d vs sequential %d" label
-        par.Qsq_engine.total_facts seq.Qsq_engine.total_facts
-    else if par.Qsq_engine.facts_per_peer <> seq.Qsq_engine.facts_per_peer then
-      failf "per-peer fact counts differ under %s" label
-    else Pass
-  in
-  let balanced =
-    compare_run
-      (Printf.sprintf "%d domains" i.jobs)
-      (Qsq_engine.solve ~max_steps ~jobs:i.jobs p.Diagnoser.program
-         ~edb:p.Diagnoser.edb ~query:p.Diagnoser.query)
-  in
-  match balanced with
-  | Pass when i.jobs >= 2 ->
-    (* same scenario with every peer homed on domain 0: the other workers
-       only get work by stealing, so this pins the steal path (box
-       migration between domains, mailbox-segment hand-off) to the same
-       byte-identical outcome *)
-    compare_run
-      (Printf.sprintf "%d domains (skewed pinning, forced steals)" i.jobs)
-      (Qsq_engine.solve ~max_steps ~jobs:i.jobs ~pinning:Network.Sim.Skewed
-         p.Diagnoser.program ~edb:p.Diagnoser.edb ~query:p.Diagnoser.query)
-  | r -> r
 
 (* ------------- the service path == the in-memory path ----------- *)
 
@@ -551,9 +495,6 @@ let all =
       dqsq_loss_soundness;
     mk "reference-vs-literal" "condition (iii), two readings"
       ~applies:single_component_per_peer reference_vs_literal;
-    mk "parallel-eq-sequential"
-      "confluence (domain-parallel == sequential dQSQ, incl. forced steals)"
-      parallel_eq_sequential;
     mk "online-eq-batch-prefix"
       "incrementality (online == batch after every prefix, any interleaving)"
       online_eq_batch_prefix;

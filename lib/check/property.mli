@@ -10,7 +10,6 @@ type instance = {
   alarms : Petri.Alarm.t;
   policy : Network.Sim.policy;  (** schedule for the distributed engines *)
   loss : float;  (** loss rate for the lossy properties only *)
-  jobs : int;  (** domain count for the parallel-vs-sequential property *)
   sim_seed : int;  (** network-scheduler seed *)
 }
 (** Everything a property needs. Concrete net and alarms — not a spec and
@@ -37,7 +36,8 @@ val all : t list
     [naive-vs-seminaive], [qsq-vs-reference], [magic-vs-qsq],
     [product-vs-qsq-materialization], [dqsq-vs-qsq], [dqsq-ds-termination],
     [dqsq-loss-soundness], [reference-vs-literal],
-    [parallel-eq-sequential], [codec-roundtrip], [seed-determinism]. *)
+    [online-eq-batch-prefix], [online-gc-equivalence],
+    [checkpoint-restore-eq], [codec-roundtrip], [seed-determinism]. *)
 
 val find : string -> t option
 val names : string list

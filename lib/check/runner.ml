@@ -128,9 +128,6 @@ let replay_recipe (config : config) (f : failure) : string =
   (match config.pins.Gen.pin_loss with
   | Some l -> Buffer.add_string b (Printf.sprintf " --loss %g" l)
   | None -> ());
-  (match config.pins.Gen.pin_jobs with
-  | Some j -> Buffer.add_string b (Printf.sprintf " --jobs %d" j)
-  | None -> ());
   Buffer.contents b
 
 let indent prefix text =
@@ -154,9 +151,8 @@ let print_failure (config : config) (f : failure) : string =
         (if f.shrink_steps = 1 then "" else "s")
         f.shrunk_reason;
       indent "    | " net_text;
-      Printf.sprintf "    | # schedule: policy=%s sim-seed=%d loss=%.2f jobs=%d"
-        (Gen.policy_name i.Property.policy) i.Property.sim_seed i.Property.loss
-        i.Property.jobs;
+      Printf.sprintf "    | # schedule: policy=%s sim-seed=%d loss=%.2f"
+        (Gen.policy_name i.Property.policy) i.Property.sim_seed i.Property.loss;
     ]
 
 let print_report (config : config) (report : report) : string =

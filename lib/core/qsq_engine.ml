@@ -38,13 +38,6 @@ let terms_vars terms =
   in
   List.rev (List.fold_left (Term.vars_fold add) [] terms)
 
-(* Parallel safety: a peer's state is only ever touched from inside that
-   peer's message handler (plus setup on the main domain before the run),
-   and {!Sim.run_parallel} runs a peer's activations on at most one domain
-   at a time, with happens-before hand-offs through the peer's mailbox
-   mutex — so none of these hashtables or the runtime need locks, even
-   though work stealing migrates peers between domains. Engine-wide
-   counters shared by all handlers are [Atomic.t]. *)
 type peer_state = {
   rt : Runtime.t;
   my_rules : (string, Drule.t list) Hashtbl.t;  (** local rules by head relation *)
@@ -57,7 +50,7 @@ type peer_state = {
   mutable out_order : string list;  (** destinations, reverse first-touch *)
   steps_c : Obs.Metrics.counter;
       (** messages handled by this peer ([peer.steps.<name>]) — the load
-          balance across domains in [diag --stats] *)
+          balance across peers in [diag --stats] *)
 }
 
 (* [program]/[query] are mutable so a warm engine can be recycled for the
@@ -76,10 +69,10 @@ type t = {
          historical eager path, kept for byte-accounting comparisons. *)
   detector : Message.t Ds.t option;
       (* Dijkstra-Scholten termination detection, when requested *)
-  delegations : int Atomic.t;
-  subscriptions : int Atomic.t;
-  fact_messages : int Atomic.t;
-  fresh : int Atomic.t;
+  mutable delegations : int;
+  mutable subscriptions : int;
+  mutable fact_messages : int;
+  mutable fresh : int;
       (* per-engine rule-freshening suffixes: with a process-global counter
          the suffix lengths — and hence real wire bytes — would depend on
          what ran before, breaking same-seed byte determinism *)
@@ -150,7 +143,7 @@ let send_facts t ~src ~dst = function
   | [] -> ()
   | facts ->
     let n = List.length facts in
-    Atomic.fetch_and_add t.fact_messages n |> ignore;
+    t.fact_messages <- t.fact_messages + n;
     Obs.Metrics.incr ~by:n fact_messages_c;
     if t.batching then
       List.iter (fun f -> buffer t ~src ~dst (Message.Fact f)) facts
@@ -198,20 +191,13 @@ let sup_at ~rel ~ad ~rule_index ~pos ~peer =
 
 let var_atom sym vars = Atom.cmake sym (List.map (fun x -> Term.var x) vars)
 
-(* The per-engine [t.fresh] counter is atomic so concurrent [demand]s on
-   different domains still draw unique suffixes. The drawn values then
-   depend on the schedule — harmless: all variables of one rule instance
-   share one suffix, derived facts are ground, and attribute (column)
-   order compares same-suffix names, so fact sets are
-   suffix-value-independent. *)
-
 (* Ensure [p] receives the tuples of [rel_sym] owned by [owner]. *)
 let ensure_subscription t p ~owner ~rel_sym =
   if not (String.equal owner p) then begin
     let st = state t p in
     if not (Hashtbl.mem st.subscriptions_sent (owner, rel_sym)) then begin
       Hashtbl.add st.subscriptions_sent (owner, rel_sym) ();
-      Atomic.incr t.subscriptions;
+      t.subscriptions <- t.subscriptions + 1;
       Obs.Metrics.incr subscriptions_c;
       buffer t ~src:p ~dst:owner (Message.Subscribe rel_sym)
     end
@@ -253,7 +239,7 @@ let rec walk t p (d : Message.delegation) =
       in
       if String.equal head.Datom.peer p then install_answer t p finish
       else begin
-        Atomic.incr t.delegations;
+        t.delegations <- t.delegations + 1;
         Obs.Metrics.incr delegations_c;
         buffer t ~src:p ~dst:head.Datom.peer (Message.Delegate finish)
       end
@@ -269,7 +255,7 @@ let rec walk t p (d : Message.delegation) =
           d_remaining = lits; d_pending = pending;
           d_bound = Var_set.elements bound }
       in
-      Atomic.incr t.delegations;
+      t.delegations <- t.delegations + 1;
       Obs.Metrics.incr delegations_c;
       buffer t ~src:p ~dst:a.Datom.peer (Message.Delegate d')
     | Drule.Pos a :: rest ->
@@ -371,7 +357,8 @@ and demand t p ~rel ~ad =
            order of attribute names — and hence the column order of the
            supplementary relations — agrees with the centralized rewriting
            (Theorem 1 is checked as exact fact equality). *)
-        let suffix = Printf.sprintf "~%d" (1 + Atomic.fetch_and_add t.fresh 1) in
+        t.fresh <- t.fresh + 1;
+        let suffix = Printf.sprintf "~%d" t.fresh in
         let s =
           Subst.of_list
             (List.map (fun x -> (x, Term.var (x ^ suffix))) (Drule.vars r0))
@@ -522,8 +509,7 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
   let states = Hashtbl.create 16 in
   let t =
     { program; sim; states; query; query_peer = query.Datom.peer; batching;
-      detector; delegations = Atomic.make 0; subscriptions = Atomic.make 0;
-      fact_messages = Atomic.make 0; fresh = Atomic.make 0 }
+      detector; delegations = 0; subscriptions = 0; fact_messages = 0; fresh = 0 }
   in
   List.iter
     (fun p ->
@@ -625,26 +611,22 @@ let finish ?(deliveries = 0) (t : t) : outcome =
     answers;
     deliveries;
     net_stats = Network.Sim.stats t.sim;
-    delegations = Atomic.get t.delegations;
-    subscriptions = Atomic.get t.subscriptions;
-    fact_messages = Atomic.get t.fact_messages;
+    delegations = t.delegations;
+    subscriptions = t.subscriptions;
+    fact_messages = t.fact_messages;
     total_facts = List.fold_left (fun acc (_, n) -> acc + n) 0 facts_per_peer;
     facts_per_peer;
     clipped;
     ds_terminated = Option.map Ds.is_terminated t.detector;
   }
 
-let run ?max_steps ?jobs ?pinning (t : t) ~(query : Datom.t) : outcome =
+let run ?max_steps (t : t) ~(query : Datom.t) : outcome =
   Obs.Trace.with_span "qsq_engine.run" ~attrs:[ ("query", Datom.to_string query) ]
   @@ fun () ->
   t.query <- query;
   t.query_peer <- query.Datom.peer;
   start t;
-  let deliveries =
-    match jobs with
-    | None -> Network.Sim.run ?max_steps t.sim
-    | Some jobs -> Network.Sim.run_parallel ?max_steps ~jobs ?pinning t.sim
-  in
+  let deliveries = Network.Sim.run ?max_steps t.sim in
   finish ~deliveries t
 
 (* Point the warm engine at the next session: same peers (the simulator's
@@ -670,10 +652,10 @@ let recycle (t : t) (program : Dprogram.t) ~(edb : Datom.t list) ~(query : Datom
   t.program <- program;
   t.query <- query;
   t.query_peer <- query.Datom.peer;
-  Atomic.set t.delegations 0;
-  Atomic.set t.subscriptions 0;
-  Atomic.set t.fact_messages 0;
-  Atomic.set t.fresh 0;
+  t.delegations <- 0;
+  t.subscriptions <- 0;
+  t.fact_messages <- 0;
+  t.fresh <- 0;
   Hashtbl.iter
     (fun p st ->
       Runtime.reset st.rt;
@@ -695,12 +677,12 @@ let recycle (t : t) (program : Dprogram.t) ~(edb : Datom.t list) ~(query : Datom
       ignore (Runtime.add_fact (state t a.Datom.peer).rt (Datom.to_atom a)))
     edb
 
-let solve ?seed ?policy ?loss ?eval_options ?termination ?batching ?max_steps ?jobs
-    ?pinning program ~edb ~query =
+let solve ?seed ?policy ?loss ?eval_options ?termination ?batching ?max_steps program
+    ~edb ~query =
   let t =
     create ?seed ?policy ?loss ?eval_options ?termination ?batching program ~edb ~query
   in
-  run ?max_steps ?jobs ?pinning t ~query
+  run ?max_steps t ~query
 
 let peer_store t p = Runtime.store (state t p).rt
 

@@ -42,11 +42,10 @@ val create :
     the service keeps this on. With [batching] (the default), {e all}
     protocol messages a handler activation produces — delegations,
     subscriptions and answer facts alike — are flushed as one
-    {!Message.Batch} envelope per destination when the activation ends, in
-    both the sequential and the parallel scheduler; the receiver coalesces
-    the whole delta into a single semi-naive pass (sound: monotone
-    Datalog, confluent protocol). [~batching:false] restores the eager
-    per-message path, for byte-accounting comparisons. *)
+    {!Message.Batch} envelope per destination when the activation ends; the
+    receiver coalesces the whole delta into a single semi-naive pass
+    (sound: monotone Datalog, confluent protocol). [~batching:false]
+    restores the eager per-message path, for byte-accounting comparisons. *)
 
 type outcome = {
   answers : Atom.t list;
@@ -63,22 +62,9 @@ type outcome = {
           [None] in god-view mode. *)
 }
 
-val run :
-  ?max_steps:int ->
-  ?jobs:int ->
-  ?pinning:Network.Sim.pinning ->
-  t ->
-  query:Datom.t ->
-  outcome
+val run : ?max_steps:int -> t -> query:Datom.t -> outcome
 (** Seed the query's input relation at its peer, start the local rewriting,
-    and run the network to quiescence. With [jobs], the network runs under
-    {!Network.Sim.run_parallel} on that many domains instead of the seeded
-    sequential scheduler; the protocol is confluent (idempotent
-    delegations/subscriptions, monotone Datalog), so the final fact sets —
-    and hence [answers], sorted structurally — are identical to a
-    sequential run. [pinning] (parallel mode only) selects peer home
-    domains; [Skewed] forces the work-stealing path. [policy]/[seed] are
-    ignored in parallel mode. *)
+    and run the network to quiescence. *)
 
 val solve :
   ?seed:int ->
@@ -88,8 +74,6 @@ val solve :
   ?termination:termination_mode ->
   ?batching:bool ->
   ?max_steps:int ->
-  ?jobs:int ->
-  ?pinning:Network.Sim.pinning ->
   Dprogram.t ->
   edb:Datom.t list ->
   query:Datom.t ->

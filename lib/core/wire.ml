@@ -396,18 +396,11 @@ let decode_wrapped d (s : string) : Message.t Ds.wrapped =
 exception Roundtrip_mismatch of string
 
 (* One (encoder, decoder) pair per directed channel, created on first
-   send. The table is shared across domains in parallel runs; the lock is
-   held across the encode so each channel's codec state sees its sends in
-   order. Per-channel call order equals send order even under work
-   stealing: a peer box runs on at most one domain at a time (Sim's
-   scheduled flag), so a given src's sends on any channel are serialized
-   by its activations, wherever those activations execute. *)
+   send; the simulator calls the sizer in send order, so each channel's
+   codec state sees its sends in order. *)
 let channel_table () =
   let tbl : (string * string, encoder * decoder) Hashtbl.t = Hashtbl.create 16 in
-  let mu = Mutex.create () in
   fun ~src ~dst f ->
-    Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) @@ fun () ->
     let conn =
       match Hashtbl.find_opt tbl (src, dst) with
       | Some c -> c

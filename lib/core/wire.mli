@@ -30,8 +30,7 @@ exception Roundtrip_mismatch of string
     identical to the one encoded. *)
 
 type encoder
-(** Sending half of a connection: symbol/term tables plus scratch buffer.
-    Not thread-safe; the sizers serialize access per channel. *)
+(** Sending half of a connection: symbol/term tables plus scratch buffer. *)
 
 type decoder
 (** Receiving half: the id -> symbol/term tables. *)
@@ -89,7 +88,7 @@ val wrapped_sizer :
     (definitions first, references after). With [verify], every message
     is also decoded through the channel's receiving half and checked
     physically identical to the original ({!Roundtrip_mismatch}
-    otherwise) — the service runs with this on. Thread-safe. *)
+    otherwise) — the service runs with this on. *)
 
 val message_sizer : ?verify:bool -> unit -> src:string -> dst:string -> Message.t -> int
 (** Same for unwrapped messages (the distributed naive engine). *)

@@ -283,8 +283,8 @@ let seminaive_compiled ?(options = default_options) ?init_delta
     (List.rev c.facts);
   let rec loop () =
     check_rounds options stats;
-    Obs.Metrics.observe_int delta_size_h
-      (Hashtbl.fold (fun _ tuples acc -> acc + List.length tuples) delta 0);
+    Obs.Metrics.observe delta_size_h
+      (float_of_int (Hashtbl.fold (fun _ tuples acc -> acc + List.length tuples) delta 0));
     let next : (Symbol.t, Term.t list list) Hashtbl.t = Hashtbl.create 64 in
     let next_add (a : Atom.t) =
       let prev = Option.value ~default:[] (Hashtbl.find_opt next a.Atom.rel) in

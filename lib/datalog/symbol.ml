@@ -4,65 +4,32 @@
     distinct string is mapped to a unique small integer, so that equality and
     hashing of symbols are O(1) regardless of the length of the name. The
     intern table is global and append-only, which is safe because symbols are
-    never deleted during a run.
-
-    A single mutex serializes writers (interning a *new* string, growing the
-    names array, the gensym counter). Readers never take it: [name] reads an
-    atomically published snapshot of the names array, so [compare_name] —
-    which sits under every structural term comparison and every canonical
-    output sort — is lock-free from any domain. Each domain also keeps a
-    private read cache for [intern] ({!Domain.DLS}), sound because the
-    global table is append-only: a cached id can never go stale. *)
+    never deleted during a run. *)
 
 type t = int
 
-let mu = Mutex.create ()
 let table : (string, int) Hashtbl.t = Hashtbl.create 1024
-
-(* Publication order (all [Atomic.set], i.e. sequentially consistent):
-   entry write into the (possibly fresh) array, then [names], then [next].
-   Readers check [next] first and only then load [names]: seeing id < next
-   therefore guarantees the loaded array both covers [id] and carries its
-   entry, with no lock on the read side. *)
-let names : string array Atomic.t = Atomic.make (Array.make 1024 "")
-let next = Atomic.make 0
-
-let local_key : (string, int) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
+let names = ref (Array.make 1024 "")
+let next = ref 0
 
 let intern s =
-  let local = Domain.DLS.get local_key in
-  match Hashtbl.find_opt local s with
+  match Hashtbl.find_opt table s with
   | Some id -> id
   | None ->
-    Mutex.lock mu;
-    let id =
-      match Hashtbl.find_opt table s with
-      | Some id -> id
-      | None ->
-        let id = Atomic.get next in
-        let arr = Atomic.get names in
-        let arr =
-          if id >= Array.length arr then begin
-            let bigger = Array.make (2 * Array.length arr) "" in
-            Array.blit arr 0 bigger 0 (Array.length arr);
-            bigger
-          end
-          else arr
-        in
-        arr.(id) <- s;
-        Atomic.set names arr;
-        Atomic.set next (id + 1);
-        Hashtbl.add table s id;
-        id
-    in
-    Mutex.unlock mu;
-    Hashtbl.add local s id;
+    let id = !next in
+    if id >= Array.length !names then begin
+      let bigger = Array.make (2 * id) "" in
+      Array.blit !names 0 bigger 0 id;
+      names := bigger
+    end;
+    !names.(id) <- s;
+    next := id + 1;
+    Hashtbl.add table s id;
     id
 
 let name id =
-  if id < 0 || id >= Atomic.get next then invalid_arg "Symbol.name: unknown symbol"
-  else (Atomic.get names).(id)
+  if id < 0 || id >= !next then invalid_arg "Symbol.name: unknown symbol"
+  else !names.(id)
 
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
@@ -78,8 +45,8 @@ let pp ppf id = Format.pp_print_string ppf (name id)
 
 (* A private namespace for generated symbols (gensym), used by rewriters to
    create fresh relation names that cannot clash with user symbols. *)
-let fresh_counter = Atomic.make 0
+let fresh_counter = ref 0
 
 let fresh prefix =
-  let n = Atomic.fetch_and_add fresh_counter 1 + 1 in
-  intern (Printf.sprintf "%s#%d" prefix n)
+  incr fresh_counter;
+  intern (Printf.sprintf "%s#%d" prefix !fresh_counter)

@@ -38,10 +38,9 @@ val equal : t -> t -> bool
     sharing. *)
 
 val compare : t -> t -> int
-(** Total order by creation-attempt order (the hash-cons tag) — O(1).
-    Deterministic within a sequential run but {e not} across runs,
-    processes, or parallel domain schedules; use {!compare_structural}
-    for any externally visible ordering. *)
+(** Total order by first-interning order (the hash-cons tag) — O(1).
+    Deterministic within a run but {e not} across runs or processes; use
+    {!compare_structural} for any externally visible ordering. *)
 
 val compare_structural : t -> t -> int
 (** Structural order, independent of interning history. Used by {!Set} and

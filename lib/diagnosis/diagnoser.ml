@@ -115,9 +115,6 @@ type engine =
   | Distributed of { seed : int; policy : Network.Sim.policy }  (** dQSQ proper *)
   | Distributed_ds of { seed : int; policy : Network.Sim.policy }
       (** dQSQ with Dijkstra-Scholten termination detection *)
-  | Distributed_parallel of { jobs : int }
-      (** dQSQ with each peer on an OCaml domain ({!Network.Sim.run_parallel});
-          same diagnosis as [Distributed] — the protocol is confluent *)
 
 (* Collect the distinct unfolding nodes from the adorned trans/places/map
    answers of a store. *)
@@ -166,7 +163,6 @@ let engine_name = function
   | Centralized_magic -> "magic"
   | Distributed _ -> "dqsq"
   | Distributed_ds _ -> "dqsq+ds"
-  | Distributed_parallel _ -> "dqsq-par"
 
 let record_result (r : result) =
   Obs.Metrics.incr runs_c;
@@ -191,7 +187,7 @@ let run ?(eval_options = Eval.default_options) (p : prepared) (engine : engine) 
       (match engine with
       | Centralized_qsq -> Qsq.solve
       | Centralized_magic -> Magic.solve
-      | Distributed _ | Distributed_ds _ | Distributed_parallel _ -> assert false)
+      | Distributed _ | Distributed_ds _ -> assert false)
         ~options:eval_options program query edb
     in
     let events, conds = nodes_of_store store in
@@ -203,27 +199,17 @@ let run ?(eval_options = Eval.default_options) (p : prepared) (engine : engine) 
       derivations = eval_result.Eval.stats.Eval.derivations;
       comm = None;
     }
-  | Distributed _ | Distributed_ds _ | Distributed_parallel _ ->
-    let seed, policy, jobs =
-      match engine with
-      | Distributed { seed; policy } | Distributed_ds { seed; policy } ->
-        (seed, policy, None)
-      | Distributed_parallel { jobs } ->
-        (* seed/policy are irrelevant under the parallel scheduler *)
-        (0, Network.Sim.Random_interleaving, Some jobs)
-      | Centralized_qsq | Centralized_magic -> assert false
-    in
+  | Distributed { seed; policy } | Distributed_ds { seed; policy } ->
     let termination =
       match engine with
       | Distributed_ds _ -> Qsq_engine.Dijkstra_scholten
-      | Distributed _ | Distributed_parallel _ | Centralized_qsq | Centralized_magic ->
-        Qsq_engine.God_view
+      | Distributed _ | Centralized_qsq | Centralized_magic -> Qsq_engine.God_view
     in
     let t =
       Qsq_engine.create ~seed ~policy ~eval_options ~termination p.program ~edb:p.edb
         ~query:p.query
     in
-    let out = Qsq_engine.run ?jobs t ~query:p.query in
+    let out = Qsq_engine.run t ~query:p.query in
     let events, conds =
       List.fold_left
         (fun (es, cs) peer ->

@@ -61,9 +61,6 @@ type engine =
   | Distributed of { seed : int; policy : Network.Sim.policy }  (** dQSQ *)
   | Distributed_ds of { seed : int; policy : Network.Sim.policy }
       (** dQSQ with Dijkstra-Scholten termination detection *)
-  | Distributed_parallel of { jobs : int }
-      (** dQSQ with peers pinned to [jobs] OCaml domains; produces the same
-          diagnosis as [Distributed] (confluence), byte-identical reports *)
 
 val run : ?eval_options:Eval.options -> prepared -> engine -> result
 

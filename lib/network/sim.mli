@@ -57,33 +57,8 @@ exception Budget_exhausted of int
 
 val run : ?max_steps:int -> 'msg t -> int
 (** Deliver until quiescent; returns the number of deliveries.
-    @raise Budget_exhausted after [max_steps] deliveries. *)
-
-type pinning =
-  | Balanced  (** peer home domains round-robin in sorted-name order *)
-  | Skewed
-      (** all peers homed on domain 0, so other workers only ever get
-          work by stealing — a test/fuzz mode that forces the steal path *)
-
-val run_parallel : ?max_steps:int -> ?jobs:int -> ?pinning:pinning -> 'msg t -> int
-(** Deliver until quiescent using [jobs] worker domains (default
-    {!Domain.recommended_domain_count}). Each peer owns a mailbox box
-    homed on a domain (per [pinning], default [Balanced]); a worker claims
-    a runnable peer — stealing whole boxes from the most-loaded other
-    domain when its own run queue is empty ([sim.steals]) — and drains the
-    peer's entire mailbox per claim ([sim.batches]/[sim.batch_size]),
-    running every handler without holding any lock. A scheduled flag makes
-    peer activations mutually exclusive, so per-peer mutable state still
-    needs no locks even though peers migrate between domains. Messages
-    already queued under the sequential scheduler are migrated in
-    (per-channel FIFO preserved). Termination uses an atomic in-flight
-    count at drained-segment granularity: a segment's units are released
-    only after its last handler returns, so the count reaching zero is a
-    stable global-quiescence signal. Delivery order across channels is
-    nondeterministic; for confluent protocols (dQSQ) final fact sets
-    equal the sequential scheduler's.
-    @raise Budget_exhausted after [max_steps] total deliveries.
-    @raise Invalid_argument when [jobs < 1]. *)
+    @raise Budget_exhausted when the network is still not quiescent after
+    [max_steps] deliveries (so a budget of k performs at most k). *)
 
 type channel_stats = { msgs : int; bytes : int }
 

@@ -4,10 +4,7 @@
     ["sim.delivered"], ...). Registering a name twice returns the same
     instrument, so modules share instruments by agreeing on names; asking
     for a name under a different instrument kind raises [Invalid_argument].
-    Updates are cheap enough to leave on, and every instrument is safe to
-    update concurrently from multiple domains: counters stripe atomically
-    per domain, gauges are a single [Atomic.t], histograms and the
-    registry itself are mutex-guarded. *)
+    Updates are plain field writes, cheap enough to leave on. *)
 
 type counter
 type gauge
@@ -32,16 +29,11 @@ val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
 val add_gauge : gauge -> int -> unit
-(** Atomically add a (possibly negative) delta — for gauges tracking a
+(** Add a (possibly negative) delta — for gauges tracking a
     population (live fact stores, active sessions) rather than a level
     sampled from elsewhere. *)
 
-val set_max : gauge -> int -> unit
-(** Raise the gauge to [v] if [v] exceeds its current value (atomic
-    high-water mark); no-op otherwise. Used for e.g. peak mailbox depth. *)
-
 val observe : histogram -> float -> unit
-val observe_int : histogram -> int -> unit
 
 type histogram_summary = {
   count : int;

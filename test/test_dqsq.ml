@@ -121,12 +121,8 @@ let test_fig3_dqsq_all_policies () =
         [ 0; 1; 2; 3 ])
     [ Network.Sim.Random_interleaving; Network.Sim.Round_robin; Network.Sim.Global_fifo ]
 
-(* Thread-local intern arenas: a term interned inside another domain's
-   arena must come out as THE process-wide representative — [equal] stays
-   [(==)] against the same structure built independently on this domain,
-   and against a copy that crossed the wire codec (whose decoder
-   re-interns). This is the promotion rule: every representative a
-   domain-local arena hands out is already in the global sharded table. *)
+(* A Skolem spine decoded off the wire is the representative an independent
+   rebuild gets: the decoder re-interns, so no copy escapes hash-consing. *)
 let test_arena_cross_domain_intern () =
   let spine tag depth =
     (* a deep Skolem-style spine like the unfolding builds *)
@@ -136,118 +132,17 @@ let test_arena_cross_domain_intern () =
     in
     go depth (Term.const "bottom")
   in
-  let remote = Domain.spawn (fun () -> spine "arena" 40) in
-  let theirs = Domain.join remote in
+  let theirs = spine "arena" 40 in
   let mine = spine "arena" 40 in
-  Alcotest.(check bool) "cross-domain representative is shared" true (theirs == mine);
-  (* a fresh encoder/decoder pair: decode re-interns through this domain's
-     arena and must land on the same physical term *)
+  Alcotest.(check bool) "rebuilt representative is shared" true (theirs == mine);
+  (* a fresh encoder/decoder pair: decode re-interns and must land on the
+     same physical term *)
   let frame = Wire.encode_configs (Wire.encoder ()) [ [ theirs ] ] in
   match Wire.decode_configs (Wire.decoder ()) frame with
   | [ [ decoded ] ] ->
-    Alcotest.(check bool) "decoded copy is physically equal" true (decoded == theirs);
+    Alcotest.(check bool) "decoded copy is physically equal" true (decoded == mine);
     Alcotest.(check bool) "Term.equal agrees" true (Term.equal decoded mine)
   | _ -> Alcotest.fail "decode_configs shape"
-
-(* Confluence: the domain-parallel scheduler must reproduce the sequential
-   run exactly — answers (sorted structurally by the engine), fact totals,
-   and per-peer fact counts. *)
-let test_fig3_parallel_eq_sequential () =
-  let seq =
-    Qsq_engine.solve ~seed:5 (Dprogram.figure3 ()) ~edb:(fig3_edb ()) ~query:(fig3_query ())
-  in
-  List.iter
-    (fun jobs ->
-      let par =
-        Qsq_engine.solve ~jobs (Dprogram.figure3 ()) ~edb:(fig3_edb ())
-          ~query:(fig3_query ())
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "answers equal at jobs=%d" jobs)
-        (List.map Atom.to_string seq.Qsq_engine.answers)
-        (List.map Atom.to_string par.Qsq_engine.answers);
-      Alcotest.(check int)
-        (Printf.sprintf "fact totals equal at jobs=%d" jobs)
-        seq.Qsq_engine.total_facts par.Qsq_engine.total_facts;
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "per-peer facts equal at jobs=%d" jobs)
-        seq.Qsq_engine.facts_per_peer par.Qsq_engine.facts_per_peer)
-    [ 1; 2; 4 ]
-
-(* Same confluence check on ring programs large enough that delegation
-   chains cross every peer. *)
-let test_ring_parallel_eq_sequential () =
-  List.iter
-    (fun (k, seed) ->
-      let v x = Term.var x in
-      let rules =
-        List.concat_map
-          (fun i ->
-            let next = (i + 1) mod k in
-            let pi = Printf.sprintf "p%d" i and pn = Printf.sprintf "p%d" next in
-            let ri = Printf.sprintf "R%d" i and rn = Printf.sprintf "R%d" next in
-            let ei = Printf.sprintf "E%d" i in
-            [ Drule.make
-                (Datom.make ~rel:ri ~peer:pi [ v "X"; v "Y" ])
-                [ Drule.Pos (Datom.make ~rel:ei ~peer:pi [ v "X"; v "Y" ]) ];
-              Drule.make
-                (Datom.make ~rel:ri ~peer:pi [ v "X"; v "Z" ])
-                [ Drule.Pos (Datom.make ~rel:ei ~peer:pi [ v "X"; v "Y" ]);
-                  Drule.Pos (Datom.make ~rel:rn ~peer:pn [ v "Y"; v "Z" ]) ] ])
-          (List.init k Fun.id)
-      in
-      let program = Dprogram.make rules in
-      let rg = Random.State.make [| seed |] in
-      let edb =
-        List.init (k * 12) (fun _ ->
-            let i = Random.State.int rg k in
-            let c () = Term.const (Printf.sprintf "n%d" (Random.State.int rg 8)) in
-            Datom.make ~rel:(Printf.sprintf "E%d" i) ~peer:(Printf.sprintf "p%d" i)
-              [ c (); c () ])
-      in
-      let query = Datom.make ~rel:"R0" ~peer:"p0" [ Term.const "n0"; Term.var "Y" ] in
-      let seq = Qsq_engine.solve ~seed program ~edb ~query in
-      List.iter
-        (fun jobs ->
-          let par = Qsq_engine.solve ~jobs program ~edb ~query in
-          Alcotest.(check (list string))
-            (Printf.sprintf "ring %d answers equal at jobs=%d" k jobs)
-            (List.map Atom.to_string seq.Qsq_engine.answers)
-            (List.map Atom.to_string par.Qsq_engine.answers);
-          Alcotest.(check int)
-            (Printf.sprintf "ring %d fact totals equal at jobs=%d" k jobs)
-            seq.Qsq_engine.total_facts par.Qsq_engine.total_facts)
-        [ 2; 3 ])
-    [ (3, 11); (4, 12); (5, 13) ]
-
-(* Skewed pinning homes every peer on domain 0, so domains 1..n only get
-   work by stealing boxes off domain 0's run queue: the steal hand-off
-   (peer migration between domains mid-run) must leave the outcome
-   byte-identical. The steal count is timing-dependent (a fast worker 0
-   may drain everything first on an oversubscribed host), so only the
-   outcome is asserted; the counter is checked for monotonicity. *)
-let test_skewed_pinning_forced_steals () =
-  let steals_c = Obs.Metrics.counter "sim.steals" in
-  let before = Obs.Metrics.value steals_c in
-  let seq =
-    Qsq_engine.solve ~seed:5 (Dprogram.figure3 ()) ~edb:(fig3_edb ()) ~query:(fig3_query ())
-  in
-  List.iter
-    (fun jobs ->
-      let par =
-        Qsq_engine.solve ~jobs ~pinning:Network.Sim.Skewed (Dprogram.figure3 ())
-          ~edb:(fig3_edb ()) ~query:(fig3_query ())
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "answers equal at jobs=%d (skewed)" jobs)
-        (List.map Atom.to_string seq.Qsq_engine.answers)
-        (List.map Atom.to_string par.Qsq_engine.answers);
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "per-peer facts equal at jobs=%d (skewed)" jobs)
-        seq.Qsq_engine.facts_per_peer par.Qsq_engine.facts_per_peer)
-    [ 2; 4 ];
-  Alcotest.(check bool) "steal counter monotone" true
-    (Obs.Metrics.value steals_c >= before)
 
 (* Theorem 1: dQSQ's facts (modulo zeta) == centralized QSQ's facts on the
    localized program. *)
@@ -468,14 +363,8 @@ let suite =
       [ Alcotest.test_case "distributed naive" `Quick test_fig3_distributed_naive;
         Alcotest.test_case "dQSQ" `Quick test_fig3_dqsq;
         Alcotest.test_case "dQSQ under all policies" `Quick test_fig3_dqsq_all_policies;
-        Alcotest.test_case "parallel == sequential (Fig. 3)" `Quick
-          test_fig3_parallel_eq_sequential;
-        Alcotest.test_case "parallel == sequential (rings)" `Quick
-          test_ring_parallel_eq_sequential;
         Alcotest.test_case "arena promotion: cross-domain (==)" `Quick
           test_arena_cross_domain_intern;
-        Alcotest.test_case "skewed pinning forces steals" `Quick
-          test_skewed_pinning_forced_steals;
         Alcotest.test_case "Theorem 1 on Fig. 3" `Quick test_theorem1_fig3 ] );
     ( "random",
       qcheck [ prop_theorem1_random; prop_dqsq_answers_random; prop_dnaive_answers_random ] );

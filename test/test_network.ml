@@ -115,6 +115,27 @@ let test_budget_carries_value () =
   | exception Sim.Budget_exhausted n -> Alcotest.(check int) "budget in payload" 37 n
   | _ -> Alcotest.fail "should not terminate"
 
+let test_budget_is_exact () =
+  (* a budget of k performs at most k deliveries: a peer pinging itself
+     forever is stopped after exactly 5 handler calls *)
+  let calls = ref 0 in
+  let sim = Sim.create () in
+  Sim.add_peer sim "a" (fun sim ~src:_ m ->
+      incr calls;
+      Sim.send sim ~src:"a" ~dst:"a" m);
+  Sim.send sim ~src:"a" ~dst:"a" (Ping 0);
+  (match Sim.run ~max_steps:5 sim with
+  | exception Sim.Budget_exhausted n -> Alcotest.(check int) "budget in payload" 5 n
+  | _ -> Alcotest.fail "should not terminate");
+  Alcotest.(check int) "handler calls" 5 !calls;
+  (* a run that needs exactly k deliveries still finishes under budget k *)
+  let sim = Sim.create () in
+  Sim.add_peer sim "x" (fun _ ~src:_ _ -> ());
+  for i = 1 to 5 do
+    Sim.send sim ~src:"e" ~dst:"x" (Ping i)
+  done;
+  Alcotest.(check int) "exact budget suffices" 5 (Sim.run ~max_steps:5 sim)
+
 let test_loss_injection_drops () =
   (* with loss injected, drops actually happen, are accounted, and the
      bookkeeping stays consistent: sent = delivered + dropped, and only
@@ -213,6 +234,7 @@ let suite =
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "budget" `Quick test_budget;
         Alcotest.test_case "budget carries value" `Quick test_budget_carries_value;
+        Alcotest.test_case "budget of k delivers at most k" `Quick test_budget_is_exact;
         Alcotest.test_case "unknown peer" `Quick test_unknown_peer;
         Alcotest.test_case "unknown peer among registered" `Quick
           test_unknown_peer_among_registered;

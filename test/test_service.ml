@@ -45,40 +45,24 @@ let solo net alarms =
 (* Batching economics, pinned end to end: coalescing an activation's
    messages into one Message.Batch envelope per destination must never
    cost wire bytes — the envelope shares one frame header and one
-   per-channel dictionary context. Checked for the sequential scheduler,
-   and for the parallel scheduler against the same eager baseline (the
-   parallel schedule emits the same per-channel fact/delegation sets, so
-   batched-parallel must also come in under the eager run's bytes). *)
+   per-channel dictionary context. *)
 let test_batching_reduces_wire_bytes () =
   let module Dg = Diagnosis.Diagnoser in
   let module Q = Dqsq.Qsq_engine in
   let prep = Dg.prepare (running_net ()) (Petri.Alarm.make seq) in
-  let solve ?jobs ~batching () =
-    Q.solve ~batching ?jobs prep.Dg.program ~edb:prep.Dg.edb ~query:prep.Dg.query
+  let solve ~batching =
+    Q.solve ~batching prep.Dg.program ~edb:prep.Dg.edb ~query:prep.Dg.query
   in
-  let eager = solve ~batching:false () in
-  let batched = solve ~batching:true () in
-  let batched_par = solve ~jobs:2 ~batching:true () in
+  let eager = solve ~batching:false in
+  let batched = solve ~batching:true in
   let answers o = List.map Datalog.Atom.to_string o.Q.answers in
   Alcotest.(check (list string)) "batched answers equal" (answers eager) (answers batched);
-  Alcotest.(check (list string)) "parallel batched answers equal" (answers eager)
-    (answers batched_par);
   let bytes o = o.Q.net_stats.Network.Sim.bytes in
   Alcotest.(check bool)
     (Printf.sprintf "batched bytes (%d) <= unbatched bytes (%d)" (bytes batched)
        (bytes eager))
     true
-    (bytes batched <= bytes eager);
-  Alcotest.(check bool)
-    (Printf.sprintf "parallel batched bytes (%d) <= unbatched bytes (%d)"
-       (bytes batched_par) (bytes eager))
-    true
-    (bytes batched_par <= bytes eager);
-  (* fewer envelopes cross the network, yet the same channels carry them:
-     sim.channel_bytes.* keys stay consistent between schedulers *)
-  let chans o = List.map fst o.Q.net_stats.Network.Sim.channels in
-  Alcotest.(check (list (pair string string))) "channel sets consistent"
-    (chans batched) (chans batched_par)
+    (bytes batched <= bytes eager)
 
 (* A Batch envelope prices as ONE frame: encoding [Batch [m1; m2]] costs
    less than encoding m1 and m2 as separate frames on the same channel,
@@ -391,10 +375,6 @@ let () =
           Alcotest.test_case "snapshot store" `Quick test_snapshot_store;
           Alcotest.test_case "graceful shutdown flushes" `Quick
             test_graceful_shutdown ] );
-      (* this group MUST run after "durability": once a domain has been
-         spawned anywhere in the process, OCaml 5 permanently forbids
-         Unix.fork (even after Domain.join) — and the graceful-shutdown
-         test forks.  The jobs=2 run below spawns domains. *)
       ( "wire batching",
         [ Alcotest.test_case "batching reduces wire bytes" `Quick
             test_batching_reduces_wire_bytes;

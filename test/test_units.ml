@@ -99,30 +99,6 @@ let test_term_weak_collection () =
   Gc.full_major ();
   Alcotest.(check bool) "dead terms are collected" true (Term.live_terms () < peak)
 
-let test_term_parallel_intern () =
-  (* N domains race to intern the same deep Skolem spines; the sharded
-     intern table must still hand out one physical representative per
-     structure, so the lists built on different domains are pointwise
-     [==] — to each other and to the main domain's copy. *)
-  let domains = 4 and variants = 32 and depth = 48 in
-  let n = variants * 4 in
-  let build i =
-    Term.app "par" [ deep_term depth; Term.const (string_of_int (i mod variants)) ]
-  in
-  let workers = List.init domains (fun _ -> Domain.spawn (fun () -> List.init n build)) in
-  let per_domain = List.map Domain.join workers in
-  let reference = List.init n build in
-  List.iteri
-    (fun d ts ->
-      List.iteri
-        (fun i t ->
-          Alcotest.(check bool)
-            (Printf.sprintf "domain %d, term %d shares the representative" d i)
-            true
-            (t == List.nth reference i))
-        ts)
-    per_domain
-
 (* ------------------------------------------------------------------ *)
 (* Subst                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -465,8 +441,7 @@ let suite =
       [ Alcotest.test_case "hash-consing identity" `Quick test_term_hashcons;
         Alcotest.test_case "cached fields" `Quick test_term_cached_fields;
         Alcotest.test_case "subst sharing" `Quick test_term_subst_sharing;
-        Alcotest.test_case "weak collection" `Quick test_term_weak_collection;
-        Alcotest.test_case "parallel interning" `Quick test_term_parallel_intern ] );
+        Alcotest.test_case "weak collection" `Quick test_term_weak_collection ] );
     ( "symbol-subst",
       [ Alcotest.test_case "symbol" `Quick test_symbol;
         Alcotest.test_case "subst compose" `Quick test_subst_compose;
