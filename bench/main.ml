@@ -108,7 +108,7 @@ let e4 () =
   let t =
     Qsq_engine.create ~seed:42 (Dprogram.figure3 ()) ~edb:(fig3_edb ()) ~query:(fig3_query ())
   in
-  let out = Qsq_engine.run t ~query:(fig3_query ()) in
+  let out = Qsq_engine.run t in
   Printf.printf "answers: %s\n"
     (String.concat ", " (List.map Atom.to_string out.Qsq_engine.answers));
   Printf.printf "delegations=%d subscriptions=%d fact-messages=%d deliveries=%d\n"
@@ -161,7 +161,7 @@ let e5 () =
       let edb = ring_edb ~seed k ~edges in
       let query = Datom.make ~rel:"R0" ~peer:"p0" [ Term.const "n0"; Term.var "Y" ] in
       let t = Qsq_engine.create ~seed program ~edb ~query in
-      let _ = Qsq_engine.run t ~query in
+      let _ = Qsq_engine.run t in
       let dqsq_facts = Qsq_engine.zeta_facts t in
       let local_store = Fact_store.create () in
       List.iter
@@ -658,113 +658,6 @@ let e18 ?(ci = false) () =
     (e18_scenarios ~ci)
 
 (* ------------------------------------------------------------------ *)
-(* E20: the diagnosis service under interleaved session load            *)
-(* ------------------------------------------------------------------ *)
-
-(* Thousands of sessions over two tenants, a bounded window of them in
-   flight at any moment, every one stepped a quantum of deliveries per
-   round-robin turn — the serve workload without the pipe. Engines recycle
-   through the tenant pools, so steady-state sessions ride warm codec
-   dictionaries and pre-allocated stores; wire bytes are the codec's real
-   frame lengths (wire_verify stays on: every message is decoded and
-   checked physically identical). Latency is open-to-report wall time
-   under the interleaving, so it grows with the window — throughput and
-   the p50/p99 spread are the numbers to watch. Rows land in
-   BENCH_diag.json as E20/* pseudo-experiments. *)
-let e20_rows : (string * float) list ref = ref []
-
-let e20 ?(ci = false) () =
-  let sessions = if ci then 120 else 1200 in
-  let window = 32 in
-  section "E20"
-    (Printf.sprintf
-       "Service: %d interleaved sessions, 2 tenants, window %d, warm engines"
-       sessions window);
-  let coord = Service.Coordinator.create ~quantum:8 () in
-  let ok = function Ok v -> v | Error m -> failwith ("E20: " ^ m) in
-  ignore (ok (Service.Coordinator.add_tenant coord ~name:"running"
-                (Petri.Examples.running_example ())));
-  ignore (ok (Service.Coordinator.add_tenant coord ~name:"ring"
-                (Petri.Examples.ring ~peers:3 ())));
-  (* a fixed scenario pool per tenant: cheap, deterministic variety *)
-  let running_scenarios =
-    [ [ ("b", "p1"); ("a", "p2"); ("c", "p1") ];
-      [ ("b", "p1"); ("c", "p1"); ("a", "p2") ];
-      [ ("c", "p1"); ("b", "p1"); ("a", "p2") ] ]
-  in
-  let ring_scenarios =
-    let net = Petri.Net.binarize (Petri.Examples.ring ~peers:3 ()) in
-    List.init 4 (fun i ->
-        let firing =
-          Petri.Exec.random_execution ~rng:(rng (200 + i)) ~steps:(3 + (i mod 2)) net
-        in
-        Petri.Exec.alarms_of_execution net firing)
-  in
-  let nth l i = List.nth l (i mod List.length l) in
-  let start_session i =
-    let tenant, alarms =
-      if i mod 2 = 0 then ("running", nth running_scenarios (i / 2))
-      else ("ring", nth ring_scenarios (i / 2))
-    in
-    let sid = ok (Service.Coordinator.open_session coord ~tenant) in
-    List.iter
-      (fun (symbol, peer) ->
-        ok (Service.Coordinator.add_alarm coord sid ~symbol ~peer))
-      alarms;
-    ok (Service.Coordinator.start coord sid);
-    sid
-  in
-  let latencies = ref [] in
-  let total_bytes = ref 0 and total_deliveries = ref 0 in
-  let opened = ref 0 and completed = ref 0 in
-  let in_flight = ref [] in
-  let t0 = Obs.Clock.now_s () in
-  while !completed < sessions do
-    while !opened < sessions && List.length !in_flight < window do
-      in_flight := start_session !opened :: !in_flight;
-      incr opened
-    done;
-    ignore (Service.Coordinator.step_round coord);
-    let finished, still =
-      List.partition (Service.Coordinator.is_done coord) !in_flight
-    in
-    List.iter
-      (fun sid ->
-        let r = ok (Service.Coordinator.report coord sid) in
-        latencies := r.Service.Coordinator.latency_s :: !latencies;
-        total_bytes := !total_bytes + r.Service.Coordinator.wire_bytes;
-        total_deliveries := !total_deliveries + r.Service.Coordinator.deliveries;
-        ok (Service.Coordinator.close coord sid);
-        incr completed)
-      finished;
-    in_flight := still
-  done;
-  let wall = Obs.Clock.now_s () -. t0 in
-  let sorted = List.sort compare !latencies in
-  let pct p =
-    List.nth sorted
-      (min (List.length sorted - 1)
-         (int_of_float (p *. float_of_int (List.length sorted))))
-  in
-  let p50 = pct 0.50 and p99 = pct 0.99 in
-  let throughput = float_of_int sessions /. wall in
-  let s = Service.Coordinator.stats coord in
-  Printf.printf "%10s %12s %10s %10s %12s %12s\n" "sessions" "sess/s" "p50" "p99"
-    "deliveries" "wire-bytes";
-  Printf.printf "%10d %12.1f %9.1fus %9.1fus %12d %12d\n" sessions throughput
-    (p50 *. 1e6) (p99 *. 1e6) !total_deliveries !total_bytes;
-  Printf.printf
-    "(pool at rest: %d warm engine(s); %d sessions started, %d completed)\n"
-    s.Service.Coordinator.pooled s.Service.Coordinator.started
-    s.Service.Coordinator.completed;
-  e20_rows :=
-    [ ("E20/sessions", float_of_int sessions);
-      ("E20/throughput_sessions_per_s", throughput);
-      ("E20/p50_s", p50);
-      ("E20/p99_s", p99);
-      ("E20/wire_bytes", float_of_int !total_bytes) ]
-
-(* ------------------------------------------------------------------ *)
 (* E21: sustained streaming through the service                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -816,7 +709,7 @@ let e21 ?(ci = false) () =
     (Printf.sprintf
        "Streaming: one %d-alarm session + %d short streams (window %d), prefix GC"
        long_total shorts_total short_window);
-  let coord = Service.Coordinator.create ~quantum:8 () in
+  let coord = Service.Coordinator.create () in
   let ok = function Ok v -> v | Error m -> failwith ("E21: " ^ m) in
   ignore (ok (Service.Coordinator.add_tenant coord ~name:"cycle" (e21_net ())));
   let long_sid = ok (Service.Coordinator.open_stream coord ~tenant:"cycle") in
@@ -939,7 +832,7 @@ let e22 ?(ci = false) () =
        kill_at total);
   let ok = function Ok v -> v | Error m -> failwith ("E22: " ^ m) in
   let mk_coord () =
-    let coord = Service.Coordinator.create ~quantum:8 () in
+    let coord = Service.Coordinator.create () in
     ignore (ok (Service.Coordinator.add_tenant coord ~name:"cycle" (e21_net ())));
     coord
   in
@@ -1318,14 +1211,14 @@ let () =
   end;
   let experiments =
     if ci then
-      [ ("E18", fun () -> e18 ~ci:true ()); ("E20", fun () -> e20 ~ci:true ());
+      [ ("E18", fun () -> e18 ~ci:true ());
         ("E21", fun () -> e21 ~ci:true ());
         ("E22", fun () -> e22 ~ci:true ()) ]
     else
       [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
         ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
         ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-        ("E17", e17); ("E18", fun () -> e18 ()); ("E20", fun () -> e20 ());
+        ("E17", e17); ("E18", fun () -> e18 ());
         ("E21", fun () -> e21 ());
         ("E22", fun () -> e22 ()) ]
   in
@@ -1348,7 +1241,7 @@ let () =
   in
   metrics_section stats_json_file;
   write_bench_json bench_json_file
-    (times @ !e20_rows @ !e21_rows @ !e22_rows)
+    (times @ !e21_rows @ !e22_rows)
     digests;
   if not (no_timings || ci) then timings ();
   Printf.printf "\n%s\nAll experiments completed.\n" line

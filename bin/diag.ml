@@ -463,7 +463,7 @@ let fuzz_cmd =
 (* ---------------- serve ---------------- *)
 
 let serve_cmd =
-  let run socket once quantum stream_budget ckpt_dir ckpt_every recover stats trace =
+  let run socket once stream_budget ckpt_dir ckpt_every recover stats trace =
     enable_trace trace;
     (match ckpt_every with
     | Some n when n < 1 ->
@@ -477,12 +477,7 @@ let serve_cmd =
       Printf.eprintf "error: --recover needs --checkpoint-dir\n";
       exit 2
     end;
-    let coord =
-      match stream_budget with
-      | Some stream_max_states ->
-        Service.Coordinator.create ~quantum ~stream_max_states ()
-      | None -> Service.Coordinator.create ~quantum ()
-    in
+    let coord = Service.Coordinator.create ?stream_max_states:stream_budget () in
     let checkpoints =
       Option.map
         (fun dir ->
@@ -504,11 +499,6 @@ let serve_cmd =
          & info [ "once" ]
              ~doc:"With --socket: serve exactly one connection, then exit. \
                    On stdin/stdout the server always exits at end of input.")
-  in
-  let quantum =
-    Arg.(value & opt int 16
-         & info [ "quantum" ] ~docv:"N"
-             ~doc:"Message deliveries per session and round-robin turn.")
   in
   let stream_budget =
     Arg.(value & opt (some int) None
@@ -540,7 +530,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the multi-tenant diagnosis service (line protocol; see \
              Service.Serve).")
-    Term.(const run $ socket $ once $ quantum $ stream_budget $ ckpt_dir $ ckpt_every
+    Term.(const run $ socket $ once $ stream_budget $ ckpt_dir $ ckpt_every
           $ recover $ stats_arg $ trace_arg)
 
 (* ---------------- generate ---------------- *)

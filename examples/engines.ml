@@ -49,7 +49,7 @@ let () =
   (* (iii) dQSQ on the distributed program *)
   let dquery = Datom.make ~rel:"R" ~peer:"r" [ Term.const "1"; Term.var "Y" ] in
   let t = Qsq_engine.create ~seed:42 dprog ~edb:(edb_datoms ()) ~query:dquery in
-  let out = Qsq_engine.run t ~query:dquery in
+  let out = Qsq_engine.run t in
   Printf.printf "== dQSQ evaluation (Figure 5) ==\n";
   Printf.printf "answers: %s\n"
     (String.concat ", " (List.map Atom.to_string out.Qsq_engine.answers));

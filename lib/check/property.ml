@@ -239,17 +239,14 @@ let reference_vs_literal i =
 
 (* ------------- the service path == the in-memory path ----------- *)
 
-(* The coordinator runs the same scenario through the full service stack:
-   every protocol message crosses the Wire codec with verification on
-   (decode must return physically identical terms — Roundtrip_mismatch is
-   caught by the guard as a Fail), and the diagnosis itself crosses a
-   configuration-set frame before rendering. The rendered report must be
-   byte-identical to Report.to_string on the directly computed diagnosis,
-   and a session that delivered messages must have accounted wire bytes. *)
-let codec_roundtrip i =
+(* The coordinator runs the same scenario through the full service stack.
+   The rendered report must be byte-identical to Report.to_string on the
+   directly computed diagnosis, and a session that delivered messages
+   must have accounted wire bytes. *)
+let service_report i =
   let p, r_qsq = baseline i in
   let direct = Report.to_string p.Diagnoser.net r_qsq.Diagnoser.diagnosis in
-  let coord = Service.Coordinator.create ~quantum:5 () in
+  let coord = Service.Coordinator.create () in
   let ( let* ) r f =
     match r with Ok v -> f v | Error m -> failf "service: %s" m
   in
@@ -445,6 +442,10 @@ let checkpoint_restore_eq i =
 
 (* --------------- seed determinism (sim.mli contract) ------------ *)
 
+let describe = function
+  | Network.Termination.Work m -> Message.describe m
+  | Network.Termination.Ack -> "ack"
+
 let dqsq_run i =
   let p, _ = baseline i in
   let t =
@@ -452,15 +453,19 @@ let dqsq_run i =
       p.Diagnoser.program ~edb:p.Diagnoser.edb ~query:p.Diagnoser.query
   in
   Qsq_engine.set_tracing t true;
-  let out = Qsq_engine.run ~max_steps t ~query:p.Diagnoser.query in
+  let out = Qsq_engine.run ~max_steps t in
   let answers =
     List.sort compare (List.map Atom.to_string out.Qsq_engine.answers)
   in
   (answers, Qsq_engine.delivery_trace t, out.Qsq_engine.net_stats)
 
+(* Traces are compared as descriptions: the traced messages share Skolem
+   DAGs, which polymorphic equality would unfold exponentially. *)
 let seed_determinism i =
+  let describe_all = List.map (fun (src, dst, w) -> (src, dst, describe w)) in
   let a1, t1, s1 = dqsq_run i in
   let a2, t2, s2 = dqsq_run i in
+  let t1 = describe_all t1 and t2 = describe_all t2 in
   if a1 <> a2 then failf "answers differ across two identical runs"
   else if t1 <> t2 then
     failf "delivery traces differ across two identical runs (%d vs %d deliveries)"
@@ -470,6 +475,55 @@ let seed_determinism i =
     <> (s2.Network.Sim.sent, s2.delivered, s2.dropped, s2.bytes)
   then failf "network stats differ across two identical runs"
   else Pass
+
+(* ---------------------- the wire codec round trip ---------------- *)
+
+(* A traced dQSQ run of the case, replayed one directed channel at a time
+   through a fresh encoder/decoder pair: every decoded message must equal
+   the delivered one (terms compared physically — decoding re-interns),
+   and each channel's replayed frame count and bytes must equal the
+   simulator's per-channel accounting, which the run's sizer produced
+   from the same per-channel send order (channels are FIFO, and a run
+   that reaches quiescence delivers every message it did not drop). *)
+let codec_replay i =
+  let _, trace, stats = dqsq_run i in
+  let conns = Hashtbl.create 16 in
+  let replay (src, dst, w) =
+    let e, d, book =
+      match Hashtbl.find_opt conns (src, dst) with
+      | Some c -> c
+      | None ->
+        let c = (Wire.encoder (), Wire.decoder (), ref { Network.Sim.msgs = 0; bytes = 0 }) in
+        Hashtbl.add conns (src, dst) c;
+        c
+    in
+    let frame = Wire.encode_wrapped e w in
+    book := { Network.Sim.msgs = !book.msgs + 1; bytes = !book.bytes + String.length frame };
+    match (w, Wire.decode_wrapped d frame) with
+    | Network.Termination.Work m, Network.Termination.Work m' -> Message.equal m m'
+    | Network.Termination.Ack, Network.Termination.Ack -> true
+    | _ -> false
+  in
+  match List.find_opt (fun delivery -> not (replay delivery)) trace with
+  | Some (src, dst, w) ->
+    failf "decode(encode(%s)) differs on %s->%s" (describe w) src dst
+  | None ->
+    let replayed =
+      Hashtbl.fold (fun k (_, _, book) acc -> (k, !book) :: acc) conns [] |> List.sort compare
+    in
+    if replayed = stats.Network.Sim.channels then Pass
+    else
+      let show l =
+        String.concat " "
+          (List.map
+             (fun ((s, d), c) -> Printf.sprintf "%s->%s:%d/%dB" s d c.Network.Sim.msgs c.bytes)
+             l)
+      in
+      failf "replayed channel frames [%s] differ from the run's accounting [%s]"
+        (show replayed) (show stats.Network.Sim.channels)
+
+let codec_roundtrip i =
+  match service_report i with Fail _ as f -> f | Pass -> codec_replay i
 
 (* ------------------------------ registry ------------------------ *)
 
@@ -503,7 +557,8 @@ let all =
     mk "checkpoint-restore-eq"
       "durability (checkpoint -> restore resumes byte-identically)"
       checkpoint_restore_eq;
-    mk "codec-roundtrip" "wire codec: service reports == in-memory reports"
+    mk "codec-roundtrip"
+      "wire codec: service reports == in-memory reports, decode(encode(m)) == m"
       codec_roundtrip;
     mk "seed-determinism" "sim.mli: same seed and policy, same run" seed_determinism;
   ]

@@ -75,10 +75,7 @@ let handle t p ~src msg =
 let create ?(seed = 0) ?(policy = Network.Sim.Random_interleaving)
     ?(eval_options = Eval.default_options) (program : Dprogram.t)
     ~(edb : Datom.t list) ~(query : Datom.t) : t =
-  let sim =
-    Network.Sim.create ~seed ~policy ~size_of:(Wire.message_sizer ())
-      ~describe:Message.describe ()
-  in
+  let sim = Network.Sim.create ~seed ~policy ~size_of:(Wire.sizer Wire.encode_message) () in
   let peers =
     List.sort_uniq String.compare
       (Dprogram.peers program

@@ -63,10 +63,6 @@ type t = {
   states : (string, peer_state) Hashtbl.t;
   mutable query : Datom.t;
   mutable query_peer : string;
-  batching : bool;
-      (* coalesce each activation's outgoing messages into one
-         {!Message.Batch} envelope per destination (default). Off = the
-         historical eager path, kept for byte-accounting comparisons. *)
   detector : Message.t Ds.t option;
       (* Dijkstra-Scholten termination detection, when requested *)
   mutable delegations : int;
@@ -95,8 +91,8 @@ let send_now t ~src ~dst m =
   | None -> Sim.send t.sim ~src ~dst (Ds.Work m)
   | Some det -> Ds.send_work det t.sim ~src ~dst m
 
-(* Batching mode buffers every protocol message of the current activation
-   in the sender's outbox; {!flush_outbox} coalesces them into one
+(* Every protocol message of the current activation is buffered in the
+   sender's outbox; {!flush_outbox} coalesces them into one
    {!Message.Batch} envelope per destination. The flush happens *inside*
    the activation — before the handler returns to the scheduler — which
    keeps both fixpoint signals sound: the simulator's in-flight count sees
@@ -104,15 +100,12 @@ let send_now t ~src ~dst m =
    Dijkstra-Scholten deficit is bumped before the wrapper's disengage
    check runs. *)
 let buffer t ~src ~dst m =
-  if not t.batching then send_now t ~src ~dst m
-  else begin
-    let st = state t src in
-    match Hashtbl.find_opt st.out_tbl dst with
-    | Some l -> l := m :: !l
-    | None ->
-      Hashtbl.add st.out_tbl dst (ref [ m ]);
-      st.out_order <- dst :: st.out_order
-  end
+  let st = state t src in
+  match Hashtbl.find_opt st.out_tbl dst with
+  | Some l -> l := m :: !l
+  | None ->
+    Hashtbl.add st.out_tbl dst (ref [ m ]);
+    st.out_order <- dst :: st.out_order
 
 let flush_outbox t p =
   let st = state t p in
@@ -135,24 +128,15 @@ let flush_outbox t p =
 (* Ship [facts] to [dst]. [fact_messages] counts individual facts — the
    envelope only changes what crosses the wire (one frame, shared spines)
    and how the receiver evaluates (one semi-naive pass over the whole
-   delta). In batching mode the facts join the activation's outbox and
-   coalesce with any control messages bound for the same destination; in
-   eager mode several facts still share one {!Message.Batch} per flush
-   (the historical behavior). *)
+   delta). The facts join the activation's outbox and coalesce with any
+   control messages bound for the same destination. *)
 let send_facts t ~src ~dst = function
   | [] -> ()
   | facts ->
     let n = List.length facts in
     t.fact_messages <- t.fact_messages + n;
     Obs.Metrics.incr ~by:n fact_messages_c;
-    if t.batching then
-      List.iter (fun f -> buffer t ~src ~dst (Message.Fact f)) facts
-    else (
-      match facts with
-      | [ fact ] -> send_now t ~src ~dst (Message.Fact fact)
-      | facts ->
-        Obs.Metrics.incr envelopes_c;
-        send_now t ~src ~dst (Message.Batch (List.map (fun f -> Message.Fact f) facts)))
+    List.iter (fun f -> buffer t ~src ~dst (Message.Fact f)) facts
 
 (* Group a flush's outputs by destination, preserving first-touch order of
    destinations and the per-destination fact order (determinism: the
@@ -485,14 +469,10 @@ let ds_root = "#root"
 
 let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
     ?(eval_options = Eval.default_options) ?(termination = God_view)
-    ?(wire_verify = false) ?(batching = true) (program : Dprogram.t)
-    ~(edb : Datom.t list) ~(query : Datom.t) : t =
+    (program : Dprogram.t) ~(edb : Datom.t list) ~(query : Datom.t) : t =
   (* byte accounting runs every message through the real codec, with one
-     connection per channel; [wire_verify] additionally decodes each
-     message and insists on physical equality *)
-  let size_of = Wire.wrapped_sizer ~verify:wire_verify () in
-  let describe = function Ds.Work m -> Message.describe m | Ds.Ack -> "ack" in
-  let sim = Sim.create ~seed ~policy ~loss ~size_of ~describe () in
+     connection per channel *)
+  let sim = Sim.create ~seed ~policy ~loss ~size_of:(Wire.sizer Wire.encode_wrapped) () in
   let peers =
     List.sort_uniq String.compare
       (Dprogram.peers program
@@ -508,7 +488,7 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
   in
   let states = Hashtbl.create 16 in
   let t =
-    { program; sim; states; query; query_peer = query.Datom.peer; batching;
+    { program; sim; states; query; query_peer = query.Datom.peer;
       detector; delegations = 0; subscriptions = 0; fact_messages = 0; fresh = 0 }
   in
   List.iter
@@ -567,8 +547,8 @@ type outcome = {
           [None] in god-view mode. *)
 }
 
-(* Inject the query and begin the distributed rewriting; deliveries are
-   then driven by {!step} (interleaved service sessions) or {!run}. *)
+(* Inject the query and begin the distributed rewriting; {!run} then
+   drives the deliveries. *)
 let start (t : t) =
   match t.detector with
   | None ->
@@ -579,10 +559,7 @@ let start (t : t) =
     (* the diffusing computation starts with the root's query injection *)
     Ds.start det t.sim ~dst:t.query_peer (Message.Activate t.query.Datom.rel)
 
-let step (t : t) = Sim.step t.sim
-let is_quiescent (t : t) = Sim.is_quiescent t.sim
-
-let finish ?(deliveries = 0) (t : t) : outcome =
+let finish (t : t) ~deliveries : outcome =
   let query = t.query in
   let p0 = t.query_peer in
   let q_local = Datom.to_local_atom query in
@@ -620,14 +597,12 @@ let finish ?(deliveries = 0) (t : t) : outcome =
     ds_terminated = Option.map Ds.is_terminated t.detector;
   }
 
-let run ?max_steps (t : t) ~(query : Datom.t) : outcome =
-  Obs.Trace.with_span "qsq_engine.run" ~attrs:[ ("query", Datom.to_string query) ]
+let run ?max_steps (t : t) : outcome =
+  Obs.Trace.with_span "qsq_engine.run" ~attrs:[ ("query", Datom.to_string t.query) ]
   @@ fun () ->
-  t.query <- query;
-  t.query_peer <- query.Datom.peer;
   start t;
   let deliveries = Network.Sim.run ?max_steps t.sim in
-  finish ~deliveries t
+  finish t ~deliveries
 
 (* Point the warm engine at the next session: same peers (the simulator's
    handlers and per-channel codec state are kept), new program, EDB and
@@ -677,12 +652,8 @@ let recycle (t : t) (program : Dprogram.t) ~(edb : Datom.t list) ~(query : Datom
       ignore (Runtime.add_fact (state t a.Datom.peer).rt (Datom.to_atom a)))
     edb
 
-let solve ?seed ?policy ?loss ?eval_options ?termination ?batching ?max_steps program
-    ~edb ~query =
-  let t =
-    create ?seed ?policy ?loss ?eval_options ?termination ?batching program ~edb ~query
-  in
-  run ?max_steps t ~query
+let solve ?seed ?policy ?loss ?eval_options ?termination ?max_steps program ~edb ~query =
+  run ?max_steps (create ?seed ?policy ?loss ?eval_options ?termination program ~edb ~query)
 
 let peer_store t p = Runtime.store (state t p).rt
 

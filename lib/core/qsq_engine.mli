@@ -28,24 +28,18 @@ val create :
   ?loss:float ->
   ?eval_options:Eval.options ->
   ?termination:termination_mode ->
-  ?wire_verify:bool ->
-  ?batching:bool ->
   Dprogram.t ->
   edb:Datom.t list ->
   query:Datom.t ->
   t
 (** Byte accounting runs every message through the {!Wire} codec with one
     connection per directed channel (first occurrence of a symbol or term
-    spine costs its definition, later ones a varint id). [wire_verify]
-    additionally decodes each message on the spot and raises
-    {!Wire.Roundtrip_mismatch} unless the result is physically identical —
-    the service keeps this on. With [batching] (the default), {e all}
-    protocol messages a handler activation produces — delegations,
-    subscriptions and answer facts alike — are flushed as one
-    {!Message.Batch} envelope per destination when the activation ends; the
-    receiver coalesces the whole delta into a single semi-naive pass
-    (sound: monotone Datalog, confluent protocol). [~batching:false]
-    restores the eager per-message path, for byte-accounting comparisons. *)
+    spine costs its definition, later ones a varint id). {e All} protocol
+    messages a handler activation produces — delegations, subscriptions
+    and answer facts alike — are flushed as one {!Message.Batch} envelope
+    per destination when the activation ends; the receiver coalesces the
+    whole delta into a single semi-naive pass (sound: monotone Datalog,
+    confluent protocol). *)
 
 type outcome = {
   answers : Atom.t list;
@@ -62,9 +56,13 @@ type outcome = {
           [None] in god-view mode. *)
 }
 
-val run : ?max_steps:int -> t -> query:Datom.t -> outcome
-(** Seed the query's input relation at its peer, start the local rewriting,
-    and run the network to quiescence. *)
+val run : ?max_steps:int -> t -> outcome
+(** Seed the input relation of the query given to {!create} or {!recycle}
+    at its peer, start the local rewriting, and run the network to
+    quiescence. [net_stats] in the outcome is cumulative over the engine's
+    lifetime, so per-session byte deltas of a recycled engine come from
+    counter differences.
+    @raise Network.Sim.Budget_exhausted after [max_steps] deliveries. *)
 
 val solve :
   ?seed:int ->
@@ -72,34 +70,17 @@ val solve :
   ?loss:float ->
   ?eval_options:Eval.options ->
   ?termination:termination_mode ->
-  ?batching:bool ->
   ?max_steps:int ->
   Dprogram.t ->
   edb:Datom.t list ->
   query:Datom.t ->
   outcome
 
-(** {2 Stepped execution and warm-engine recycling}
+(** {2 Warm-engine recycling}
 
-    The service layer interleaves many sessions over warm engines: it
-    {!start}s a session, {!step}s its network a quantum at a time in
-    round-robin with other sessions, calls {!finish} at quiescence, and
-    {!recycle}s the engine for the next scenario of the same tenant. *)
-
-val start : t -> unit
-(** Inject the query and begin the distributed rewriting (what {!run}
-    does before driving the network). Call once per session. *)
-
-val step : t -> bool
-(** Deliver one message; [false] at quiescence. *)
-
-val is_quiescent : t -> bool
-
-val finish : ?deliveries:int -> t -> outcome
-(** Collect the outcome of a stepped run at quiescence. [deliveries] is
-    echoed into the outcome (the caller counted its own {!step}s);
-    [net_stats] is cumulative over the engine's lifetime, so per-session
-    byte deltas come from counter differences. *)
+    The service layer keeps warm engines per tenant: after a session's
+    {!run}, it {!recycle}s the engine for the next scenario of the same
+    tenant and {!run}s it again. *)
 
 val recycle : t -> Dprogram.t -> edb:Datom.t list -> query:Datom.t -> unit
 (** Point a quiescent warm engine at its next session: peer runtimes are
@@ -115,11 +96,14 @@ val peer_store : t -> string -> Fact_store.t
 val set_tracing : t -> bool -> unit
 (** Enable the underlying simulator's delivery trace (before {!run}). *)
 
-val delivery_trace : t -> (string * string * string) list
-(** [(src, dst, description)] per delivery, in delivery order; empty unless
+val delivery_trace : t -> (string * string * Message.t Network.Termination.wrapped) list
+(** [(src, dst, message)] per delivery, in delivery order; empty unless
     tracing was enabled. The determinism contract of {!Network.Sim}
     ("same seed and policy: same run") lifts to this trace, which is what
-    the [seed-determinism] property of [lib/check] pins down. *)
+    the [seed-determinism] property of [lib/check] pins down (over
+    {!Message.describe} strings: traced messages share Skolem DAGs, which
+    polymorphic equality would unfold). The [codec-roundtrip] property
+    replays it through the {!Wire} codec. *)
 
 val metrics : t -> Obs.Metrics.registry
 (** The underlying simulator's per-instance registry ([sim.sent],

@@ -14,7 +14,7 @@
 
     Process-wide counters [wire.bytes_sent] / [wire.bytes_recv] /
     [wire.frames] account every frame; the network simulator's byte
-    accounting is fed by {!wrapped_sizer}, which encodes each message with
+    accounting is fed by {!sizer}, which encodes each message with
     the sending channel's connection state — real codec bytes, not
     estimates. *)
 
@@ -29,9 +29,10 @@ let frames_c = Obs.Metrics.counter "wire.frames"
 
 (* Channel codec tables are append-only and live as long as their
    connection: one entry per distinct symbol/term that ever crossed it.
-   These gauges count entries across every live half (encoders and
-   decoders alike), so unbounded growth — a service churning fresh
-   Skolem spines through one long-lived connection — shows up in
+   These gauges count the entries of the simulator channel encoders that
+   {!sizer} owns (one-shot tables — report frames, snapshots — are not
+   counted), so unbounded growth — a service churning fresh Skolem spines
+   through the long-lived channels of its pooled engines — shows up in
    `serve` stats and --stats=json instead of only in RSS. *)
 let table_syms_g = Obs.Metrics.gauge "wire.table_symbols"
 let table_terms_g = Obs.Metrics.gauge "wire.table_terms"
@@ -148,15 +149,13 @@ let put_symbol e buf s =
     put_uvarint buf 0;
     put_string buf (Symbol.name s);
     Hashtbl.add e.e_syms s e.e_nsyms;
-    e.e_nsyms <- e.e_nsyms + 1;
-    Obs.Metrics.add_gauge table_syms_g 1
+    e.e_nsyms <- e.e_nsyms + 1
 
 let get_symbol d r =
   let k = get_uvarint r in
   if k = 0 then begin
     let s = Symbol.intern (get_string r) in
     push_sym d s;
-    Obs.Metrics.add_gauge table_syms_g 1;
     s
   end
   else begin
@@ -183,8 +182,7 @@ let rec put_term e buf t =
       put_uvarint buf (List.length args);
       List.iter (put_term e buf) args);
     Hashtbl.add e.e_terms (Term.tag t) e.e_nterms;
-    e.e_nterms <- e.e_nterms + 1;
-    Obs.Metrics.add_gauge table_terms_g 1
+    e.e_nterms <- e.e_nterms + 1
 
 let rec get_term d r =
   let k = get_uvarint r in
@@ -205,7 +203,6 @@ let rec get_term d r =
       | b -> corrupt "bad term tag %d" b
     in
     push_term d t;
-    Obs.Metrics.add_gauge table_terms_g 1;
     t
   end
 
@@ -393,46 +390,22 @@ let decode_wrapped d (s : string) : Message.t Ds.wrapped =
 (* Simulator sizers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-exception Roundtrip_mismatch of string
-
-(* One (encoder, decoder) pair per directed channel, created on first
-   send; the simulator calls the sizer in send order, so each channel's
-   codec state sees its sends in order. *)
-let channel_table () =
-  let tbl : (string * string, encoder * decoder) Hashtbl.t = Hashtbl.create 16 in
-  fun ~src ~dst f ->
-    let conn =
+(* One encoder per directed channel, created on first send; the simulator
+   calls the sizer in send order, so each channel's codec state sees its
+   sends in order. The table gauges grow by what these encoders add. *)
+let sizer encode =
+  let tbl : (string * string, encoder) Hashtbl.t = Hashtbl.create 16 in
+  fun ~src ~dst m ->
+    let e =
       match Hashtbl.find_opt tbl (src, dst) with
-      | Some c -> c
+      | Some e -> e
       | None ->
-        let c = (encoder (), decoder ()) in
-        Hashtbl.add tbl (src, dst) c;
-        c
+        let e = encoder () in
+        Hashtbl.add tbl (src, dst) e;
+        e
     in
-    f conn
-
-let check ok m =
-  if not ok then
-    raise (Roundtrip_mismatch (Printf.sprintf "decode(encode(%s)) differs" m))
-
-let wrapped_sizer ?(verify = false) () =
-  let with_conn = channel_table () in
-  fun ~src ~dst (w : Message.t Ds.wrapped) ->
-    with_conn ~src ~dst @@ fun (e, d) ->
-    let fr = encode_wrapped e w in
-    if verify then begin
-      match (w, decode_wrapped d fr) with
-      | Ds.Ack, Ds.Ack -> ()
-      | Ds.Work m, Ds.Work m' -> check (Message.equal m m') (Message.describe m)
-      | Ds.Work m, Ds.Ack -> check false (Message.describe m)
-      | Ds.Ack, Ds.Work _ -> check false "ack"
-    end;
-    String.length fr
-
-let message_sizer ?(verify = false) () =
-  let with_conn = channel_table () in
-  fun ~src ~dst (m : Message.t) ->
-    with_conn ~src ~dst @@ fun (e, d) ->
-    let fr = encode_message e m in
-    if verify then check (Message.equal m (decode_message d fr)) (Message.describe m);
-    String.length fr
+    let syms = e.e_nsyms and terms = e.e_nterms in
+    let n = String.length (encode e m) in
+    Obs.Metrics.add_gauge table_syms_g (e.e_nsyms - syms);
+    Obs.Metrics.add_gauge table_terms_g (e.e_nterms - terms);
+    n

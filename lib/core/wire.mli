@@ -13,9 +13,10 @@
 
     Counters [wire.bytes_sent], [wire.bytes_recv] and [wire.frames] in
     the default {!Obs.Metrics} registry account every frame, and gauges
-    [wire.table_symbols] / [wire.table_terms] count codec-table entries
-    across all live connection halves — unbounded channel-table growth
-    is visible in [serve stats] instead of only in RSS. *)
+    [wire.table_symbols] / [wire.table_terms] count the codec-table
+    entries of the simulator channel encoders {!sizer} creates —
+    unbounded channel-table growth is visible in [serve stats] instead of
+    only in RSS. *)
 
 open Datalog
 
@@ -24,10 +25,6 @@ val version : int
 exception Corrupt of string
 (** Raised by decoders on malformed input (truncation, bad tags, version
     or kind mismatch, out-of-range table ids, trailing bytes). *)
-
-exception Roundtrip_mismatch of string
-(** Raised by verifying sizers when a decoded message is not physically
-    identical to the one encoded. *)
 
 type encoder
 (** Sending half of a connection: symbol/term tables plus scratch buffer. *)
@@ -80,15 +77,12 @@ val decode_snapshot : decoder -> string -> (reader -> 'a) -> 'a
     version, kind, exact consumption) and hands the body to [get_body]
     (terms via [get_term d]). Raises {!Corrupt} on malformed input. *)
 
-val wrapped_sizer :
-  ?verify:bool -> unit -> src:string -> dst:string -> Message.t Network.Termination.wrapped -> int
-(** A [Sim.size_of] implementation: keeps one (encoder, decoder) pair per
-    directed channel and reports the actual frame length of each message,
-    so byte totals reflect the codec's history-dependent compression
-    (definitions first, references after). With [verify], every message
-    is also decoded through the channel's receiving half and checked
-    physically identical to the original ({!Roundtrip_mismatch}
-    otherwise) — the service runs with this on. *)
-
-val message_sizer : ?verify:bool -> unit -> src:string -> dst:string -> Message.t -> int
-(** Same for unwrapped messages (the distributed naive engine). *)
+val sizer : (encoder -> 'm -> string) -> src:string -> dst:string -> 'm -> int
+(** [sizer encode] is a [Sim.size_of] implementation: it keeps one encoder
+    per directed channel and reports the length of the frame [encode]
+    builds, so byte totals reflect the codec's history-dependent
+    compression (definitions first, references after). Use
+    [sizer encode_wrapped] for dQSQ traffic and [sizer encode_message] for
+    the distributed naive engine. Nothing is decoded: the round trip is
+    checked by the [codec-roundtrip] fuzz property, which replays traced
+    deliveries through fresh encoder/decoder pairs. *)

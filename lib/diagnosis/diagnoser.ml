@@ -209,7 +209,7 @@ let run ?(eval_options = Eval.default_options) (p : prepared) (engine : engine) 
       Qsq_engine.create ~seed ~policy ~eval_options ~termination p.program ~edb:p.edb
         ~query:p.query
     in
-    let out = Qsq_engine.run t ~query:p.query in
+    let out = Qsq_engine.run t in
     let events, conds =
       List.fold_left
         (fun (es, cs) peer ->

@@ -56,21 +56,21 @@ type 'msg t = {
   mutable channel_order : (peer_id * peer_id) array;
   mutable channel_count : int;
   mutable rr_cursor : int;
-  mutable seq : int;  (** global send counter, for [Global_fifo] *)
-  pending : (int * (peer_id * peer_id)) Queue.t;  (** send order of messages *)
+  pending : (peer_id * peer_id) Queue.t;
+      (** [Global_fifo] only: the channel of every queued message, in send
+          order; the other policies never read it, so never fill it *)
   metrics : Obs.Metrics.registry;  (** per-instance accounting *)
   c_sent : Obs.Metrics.counter;
   c_delivered : Obs.Metrics.counter;
   c_dropped : Obs.Metrics.counter;
   c_bytes : Obs.Metrics.counter;
   per_channel : (peer_id * peer_id, channel_book) Hashtbl.t;
-  mutable trace : (peer_id * peer_id * string) list;  (** reverse delivery log *)
+  mutable trace : (peer_id * peer_id * 'msg) list;  (** reverse delivery log *)
   mutable tracing : bool;
-  describe : 'msg -> string;
 }
 
 let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0)
-    ?(size_of = fun ~src:_ ~dst:_ _ -> 0) ?(describe = fun _ -> "<msg>") () =
+    ?(size_of = fun ~src:_ ~dst:_ _ -> 0) () =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Sim.create: loss must be in [0, 1)";
   let metrics = Obs.Metrics.create_registry () in
   {
@@ -84,7 +84,6 @@ let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0)
     channel_order = [||];
     channel_count = 0;
     rr_cursor = 0;
-    seq = 0;
     pending = Queue.create ();
     metrics;
     c_sent = Obs.Metrics.counter ~registry:metrics "sim.sent";
@@ -94,7 +93,6 @@ let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0)
     per_channel = Hashtbl.create 16;
     trace = [];
     tracing = false;
-    describe;
   }
 
 let metrics t = t.metrics
@@ -162,8 +160,7 @@ let send t ~src ~dst msg =
     let key = (src, dst) in
     let sz = t.size_of ~src ~dst msg in
     Queue.add msg (channel t key);
-    Queue.add (t.seq, key) t.pending;
-    t.seq <- t.seq + 1;
+    if t.policy = Global_fifo then Queue.add key t.pending;
     tick t.c_sent g_sent;
     tick_by sz t.c_bytes g_bytes;
     bump_per_channel t key sz
@@ -188,7 +185,7 @@ let pick_channel t =
     let rec go () =
       if Queue.is_empty t.pending then None
       else
-        let _, key = Queue.pop t.pending in
+        let key = Queue.pop t.pending in
         match Hashtbl.find_opt t.channels key with
         | Some q when not (Queue.is_empty q) -> Some key
         | Some _ | None -> go ()
@@ -214,7 +211,7 @@ let step t =
     let q = channel t key in
     let msg = Queue.pop q in
     tick t.c_delivered g_delivered;
-    if t.tracing then t.trace <- (src, dst, t.describe msg) :: t.trace;
+    if t.tracing then t.trace <- (src, dst, msg) :: t.trace;
     let handler = Hashtbl.find t.handlers dst in
     handler t ~src msg;
     true

@@ -19,7 +19,6 @@ val create :
   ?policy:policy ->
   ?loss:float ->
   ?size_of:(src:peer_id -> dst:peer_id -> 'msg -> int) ->
-  ?describe:('msg -> string) ->
   unit ->
   'msg t
 (** [size_of] reports the on-the-wire size of a message in bytes and feeds
@@ -27,10 +26,9 @@ val create :
     thread per-channel codec state (e.g. a symbol table that makes the
     first occurrence of a symbol cost its name and later ones a small id).
     The default reports 0: without a codec there are no bytes, only
-    message counts. [describe] feeds the delivery trace. [loss] in [0, 1)
-    injects failures: each sent message is silently dropped with that
-    probability (the paper assumes reliable channels — the injection shows
-    the assumption is load-bearing).
+    message counts. [loss] in [0, 1) injects failures: each sent message
+    is silently dropped with that probability (the paper assumes reliable
+    channels — the injection shows the assumption is load-bearing).
     @raise Invalid_argument on a loss outside [0, 1). *)
 
 val set_tracing : 'msg t -> bool -> unit
@@ -48,9 +46,6 @@ val send : 'msg t -> src:peer_id -> dst:peer_id -> 'msg -> unit
     @raise Unknown_peer on an unregistered destination. *)
 
 val is_quiescent : 'msg t -> bool
-
-val step : 'msg t -> bool
-(** Deliver one message; [false] at quiescence. *)
 
 exception Budget_exhausted of int
 (** The payload is the exhausted budget ([max_steps]) itself. *)
@@ -82,5 +77,6 @@ val metrics : 'msg t -> Obs.Metrics.registry
     [sim.channel_bytes.<src>-><dst>] counters, so [--stats=json] can
     report the byte matrix without holding the instance. *)
 
-val delivery_trace : 'msg t -> (peer_id * peer_id * string) list
-(** In delivery order; empty unless tracing was enabled. *)
+val delivery_trace : 'msg t -> (peer_id * peer_id * 'msg) list
+(** The delivered messages themselves, in delivery order; empty unless
+    tracing was enabled. *)

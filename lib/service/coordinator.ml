@@ -3,11 +3,10 @@
    A tenant caches everything derivable from its net once — the binarized
    net, the unfolding rules, the [petriNet] base facts, the peer directory —
    so a session only pays for its own supervisor rules. Each tenant owns a
-   pool of warm engines; a session checks one out (recycling its runtimes in
-   place), streams alarms, and is stepped a quantum of deliveries at a time
-   in round-robin with every other running session. All engine traffic runs
-   through the {!Dqsq.Wire} codec with verification on, and the finished
-   report itself crosses a codec connection before rendering. *)
+   pool of warm engines; a session buffers its alarms, checks one out
+   (recycling its runtimes in place) when started, and is run to quiescence
+   by {!Dqsq.Qsq_engine.run} when driven. All engine traffic is priced by
+   the {!Dqsq.Wire} codec, and so is the report frame. *)
 
 open Datalog
 open Dqsq
@@ -42,11 +41,11 @@ type report = {
   latency_s : float;
 }
 
+(* a started session: its engine is checked out, the query not yet run *)
 type running = {
   engine : Qsq_engine.t;
   started_at : float;
   bytes0 : int;  (* engine-registry sim.bytes at session start *)
-  mutable deliveries : int;
 }
 
 (* A streaming session holds an incremental [Online] engine instead of a
@@ -77,7 +76,6 @@ type session = {
 }
 
 type t = {
-  quantum : int;
   stream_max_states : int option;  (* per-stream Online state budget *)
   tenants : (string, tenant) Hashtbl.t;
   sessions : (int, session) Hashtbl.t;
@@ -106,13 +104,11 @@ type stream_info = {
   si_last_latency_s : float;
 }
 
-let create ?(quantum = 16) ?stream_max_states () =
-  if quantum < 1 then invalid_arg "Coordinator.create: quantum must be >= 1";
+let create ?stream_max_states () =
   (match stream_max_states with
   | Some n when n < 1 -> invalid_arg "Coordinator.create: stream_max_states must be >= 1"
   | _ -> ());
   {
-    quantum;
     stream_max_states;
     tenants = Hashtbl.create 8;
     sessions = Hashtbl.create 32;
@@ -266,38 +262,35 @@ let start (t : t) sid =
            Obs.Metrics.add_gauge pooled_g (-1);
            Qsq_engine.recycle e program ~edb ~query;
            e
-         | [] -> Qsq_engine.create ~seed:s.id ~wire_verify:true program ~edb ~query
+         | [] -> Qsq_engine.create ~seed:s.id program ~edb ~query
        in
-       Qsq_engine.start engine;
        s.phase <-
          Running
-           {
-             engine;
-             started_at = Obs.Clock.now_s ();
-             bytes0 = engine_bytes engine;
-             deliveries = 0;
-           };
+           { engine; started_at = Obs.Clock.now_s (); bytes0 = engine_bytes engine };
        t.started <- t.started + 1;
        Obs.Metrics.incr started_c
      with
     | () -> Ok ()
     | exception Invalid_argument m -> errorf "session %d: %s" sid m)
 
-(* At quiescence: collect the answers, push the diagnosis through a codec
-   connection (the report frame the client would receive), and render. The
-   decoded terms are physically the derived ones, so the body is
-   byte-identical to a direct in-memory [Report.to_string]. *)
-let finalize (t : t) (s : session) (r : running) =
-  let out = Qsq_engine.finish ~deliveries:r.deliveries r.engine in
-  let diagnosis = Supervisor.diagnosis_of_answers out.Qsq_engine.answers in
+(* Render a diagnosis as a report body. The configuration-set frame is
+   what a client of the codec would receive; it is encoded only to price
+   the report in wire bytes. The body renders the in-memory diagnosis,
+   which is what the frame decodes to (the [codec-roundtrip] property
+   checks that). *)
+let render (tn : tenant) diagnosis =
   let frame =
     Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements diagnosis)
   in
-  let configs = Wire.decode_configs (Wire.decoder ()) frame in
-  let diagnosis = List.map Term.Set.of_list configs in
-  let body = Report.to_string s.s_tenant.net diagnosis in
+  (Report.to_string tn.net diagnosis, String.length frame)
+
+(* At quiescence: collect the answers, render the report, and return the
+   engine to the tenant's pool. *)
+let finalize (t : t) (s : session) (r : running) (out : Qsq_engine.outcome) =
+  let diagnosis = Supervisor.diagnosis_of_answers out.Qsq_engine.answers in
+  let body, frame_bytes = render s.s_tenant diagnosis in
   let latency_s = Obs.Clock.now_s () -. r.started_at in
-  let wire_bytes = engine_bytes r.engine - r.bytes0 + String.length frame in
+  let wire_bytes = engine_bytes r.engine - r.bytes0 + frame_bytes in
   Obs.Metrics.observe latency_h (latency_s *. 1e6);
   s.s_tenant.pool <- r.engine :: s.s_tenant.pool;
   Obs.Metrics.add_gauge pooled_g 1;
@@ -310,34 +303,19 @@ let finalize (t : t) (s : session) (r : running) =
         tenant = s.s_tenant.t_name;
         explanations = List.length diagnosis;
         body;
-        deliveries = r.deliveries;
+        deliveries = out.Qsq_engine.deliveries;
         wire_bytes;
         latency_s;
       }
 
-let step_session t (s : session) =
-  match s.phase with
-  | Open | Done _ | Streaming _ | Failed _ -> ()
-  | Running r ->
-    let budget = ref t.quantum in
-    while !budget > 0 && Qsq_engine.step r.engine do
-      r.deliveries <- r.deliveries + 1;
-      decr budget
-    done;
-    if Qsq_engine.is_quiescent r.engine then finalize t s r
-
-let running_sessions t =
-  Hashtbl.fold
-    (fun id s acc -> match s.phase with Running _ -> (id, s) :: acc | _ -> acc)
-    t.sessions []
-  |> List.sort compare
-
-let step_round t =
-  match running_sessions t with
-  | [] -> false
-  | rs ->
-    List.iter (fun (_, s) -> step_session t s) rs;
-    true
+(* Run a started session to quiescence. A run that exhausts the delivery
+   budget fails the session; its engine still holds undelivered messages,
+   so it is dropped rather than pooled. *)
+let run_session t s r =
+  match Qsq_engine.run r.engine with
+  | out -> finalize t s r out
+  | exception Network.Sim.Budget_exhausted n ->
+    s.phase <- Failed (Printf.sprintf "delivery budget exhausted after %d deliveries" n)
 
 let is_done t sid =
   match Hashtbl.find_opt t.sessions sid with
@@ -347,34 +325,32 @@ let is_done t sid =
 let drive ?only t =
   match only with
   | None ->
-    while step_round t do () done;
+    Hashtbl.fold
+      (fun id s acc -> match s.phase with Running r -> (id, s, r) :: acc | _ -> acc)
+      t.sessions []
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+    |> List.iter (fun (_, s, r) -> run_session t s r);
     Ok ()
   | Some sid ->
     let* s = session t sid in
     (match s.phase with
+    | Running r -> run_session t s r
+    | Open | Streaming _ | Failed _ | Done _ -> ());
+    (match s.phase with
     | Open -> errorf "session %d not started" sid
     | Streaming _ -> errorf "session %d is a stream" sid
     | Failed m -> errorf "session %d failed: %s" sid m
-    | Done _ -> Ok ()
-    | Running _ ->
-      while not (is_done t sid) && step_round t do () done;
-      if is_done t sid then Ok ()
-      else errorf "session %d stalled" sid)
+    | Done _ | Running _ -> Ok ())
 
 (* Streaming report: read the live diagnosis (already saturated — O(live)
-   rather than O(work)), push it through the same codec framing as the
-   batch path, and render. Byte-identical to [Report.to_string] over the
-   direct [Online.diagnosis]. The session stays open for more alarms. *)
+   rather than O(work)) and render it, pricing the report frame like the
+   batch path. Byte-identical to [Report.to_string] over the direct
+   [Online.diagnosis]. The session stays open for more alarms. *)
 let stream_report (s : session) (st : stream) =
   let diagnosis = Online.diagnosis st.online in
-  let frame =
-    Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements diagnosis)
-  in
-  let configs = Wire.decode_configs (Wire.decoder ()) frame in
-  let diagnosis = List.map Term.Set.of_list configs in
-  let body = Report.to_string s.s_tenant.net diagnosis in
+  let body, frame_bytes = render s.s_tenant diagnosis in
   st.s_reports <- st.s_reports + 1;
-  st.s_wire_bytes <- st.s_wire_bytes + String.length frame;
+  st.s_wire_bytes <- st.s_wire_bytes + frame_bytes;
   {
     session = s.id;
     tenant = s.s_tenant.t_name;
@@ -479,12 +455,9 @@ let close t sid =
 
 let stats (t : t) =
   let active = Hashtbl.length t.sessions in
-  let running = List.length (running_sessions t) in
-  let streaming =
-    Hashtbl.fold
-      (fun _ s acc -> match s.phase with Streaming _ -> acc + 1 | _ -> acc)
-      t.sessions 0
-  in
+  let count p = Hashtbl.fold (fun _ s acc -> if p s.phase then acc + 1 else acc) t.sessions 0 in
+  let running = count (function Running _ -> true | _ -> false) in
+  let streaming = count (function Streaming _ -> true | _ -> false) in
   let pooled =
     Hashtbl.fold (fun _ tn acc -> acc + List.length tn.pool) t.tenants 0
   in

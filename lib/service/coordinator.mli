@@ -5,11 +5,10 @@
     directory (net peers + the supervisor shard). A session belongs to one
     tenant: it is opened, receives a stream of alarms, is started — checking
     a warm engine out of the tenant's pool ({!Dqsq.Qsq_engine.recycle}) or
-    creating one with the wire codec in verifying mode — and then advances a
-    quantum of message deliveries at a time, round-robin with every other
-    running session, until quiescent. Delegations route between peer shards
-    exactly as dQSQ prescribes (by the located atom's peer); answer facts
-    batch into one envelope per destination.
+    creating one — and is then driven: {!Dqsq.Qsq_engine.run} takes its
+    engine to quiescence, and the engine goes back to the pool. Delegations
+    route between peer shards exactly as dQSQ prescribes (by the located
+    atom's peer); answer facts batch into one envelope per destination.
 
     Tenant isolation is structural: every tenant's sessions run on engines
     whose fact stores only ever held that tenant's relations, and recycling
@@ -19,8 +18,8 @@
     Streaming sessions ({!open_stream}) hold a per-session incremental
     {!Diagnosis.Online} engine instead: each alarm is explained on arrival
     (an O(delta) frontier extension with prefix GC), and {!report} reads
-    the live diagnosis at any prefix, framed through the same wire codec
-    as the batch path so the body is byte-identical to the direct
+    the live diagnosis at any prefix, priced as a report frame like the
+    batch path, with a body byte-identical to the direct
     [Online.diagnosis] rendering. A stream whose state budget trips is
     marked failed and its live tables released — the coordinator and every
     other session keep running.
@@ -36,18 +35,20 @@ type report = {
   session : int;
   tenant : string;
   explanations : int;
-  body : string;
-      (** the rendered {!Diagnosis.Report}, decoded from the codec's
-          configuration-set frame — byte-identical to the in-memory path *)
+  body : string;  (** the rendered {!Diagnosis.Report} *)
   deliveries : int;  (** messages delivered for this session *)
-  wire_bytes : int;  (** codec bytes: session traffic + the report frame *)
-  latency_s : float;  (** open-to-report wall time under interleaving *)
+  wire_bytes : int;
+      (** codec bytes: session traffic + the configuration-set frame the
+          diagnosis encodes to *)
+  latency_s : float;
+      (** wall time from {!start} to the end of the run (streams:
+          open-to-now) *)
 }
 
 type stats = {
   tenants_count : int;
   active : int;  (** open, running, streaming or unfetched-done sessions *)
-  running : int;
+  running : int;  (** started, not yet driven *)
   streaming : int;  (** live streaming sessions *)
   pooled : int;  (** warm engines parked across all tenants *)
   started : int;  (** batch sessions started *)
@@ -64,10 +65,9 @@ type stream_info = {
   si_last_latency_s : float;  (** wall time of the last alarm's extension *)
 }
 
-val create : ?quantum:int -> ?stream_max_states:int -> unit -> t
-(** [quantum] (default 16) is the number of deliveries one session gets
-    per round-robin turn. [stream_max_states] bounds every streaming
-    session's cumulative explored states (default: the [Online] default). *)
+val create : ?stream_max_states:int -> unit -> t
+(** [stream_max_states] bounds every streaming session's cumulative
+    explored states (default: the [Online] default). *)
 
 val add_tenant : t -> name:string -> Petri.Net.t -> (string list, string) result
 (** Register a tenant; the net is binarized if needed. Returns the peer
@@ -92,18 +92,17 @@ val add_alarm : t -> int -> symbol:string -> peer:string -> (unit, string) resul
 
 val start : t -> int -> (unit, string) result
 (** Build the session's program (cached unfolding + fresh supervisor
-    rules), seed a warm or new engine, and inject the query. *)
-
-val step_round : t -> bool
-(** Give every running session one quantum of deliveries, finalizing the
-    ones that quiesce; [false] when no session was running. *)
+    rules) and seed a warm or new engine with it; {!drive} runs it. *)
 
 val is_done : t -> int -> bool
 
 val drive : ?only:int -> t -> (unit, string) result
-(** Round-robin [step_round] until no session is running — or, with
-    [only], until that session is done (other running sessions still
-    advance: the interleaving is real). *)
+(** Run every started session — or, with [only], just that one — to
+    quiescence with {!Dqsq.Qsq_engine.run}, in session-id order, and
+    finalize it: the report is stored and the engine returns to the
+    tenant's pool. A run that exhausts the simulator's delivery budget
+    fails its session (its engine is dropped, not pooled); with [only],
+    that failure is the returned error. *)
 
 val report : t -> int -> (report, string) result
 (** Batch: the stored finalized report. Streaming: a fresh report of the

@@ -19,12 +19,13 @@ type checkpoints = {
 
 exception Shutdown
 
+(* Replies are buffered; the session loop flushes once per request, so a
+   many-line [report] costs one flush, not one per line. *)
 let respond oc fmt =
   Printf.ksprintf
     (fun s ->
       output_string oc s;
-      output_char oc '\n';
-      flush oc)
+      output_char oc '\n')
     fmt
 
 let read_file path =
@@ -44,9 +45,8 @@ let int_arg s = int_of_string_opt s |> Option.to_result ~none:(s ^ " is not a se
 let words line =
   String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
 
-(* [run] drives the target session to quiescence while still advancing
-   every other running session: the client blocks, the coordinator does
-   not. *)
+(* [run] starts the session and runs it to quiescence before replying; a
+   repeated [run] of a finished session returns its stored report. *)
 let run_session coord sid =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
   let* () =
@@ -281,7 +281,9 @@ let session_loop ?checkpoints coord ic oc =
     match input_line ic with
     | exception End_of_file -> ()
     | line -> (
-      match handle ?checkpoints coord oc line with Continue -> loop () | Quit -> ())
+      let outcome = handle ?checkpoints coord oc line in
+      flush oc;
+      match outcome with Continue -> loop () | Quit -> ())
   in
   loop ()
 

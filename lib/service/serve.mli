@@ -24,13 +24,12 @@
       close SID                forget a finished or streaming session
       stats                    -> ok stats tenants=.. active=.. ...
                                wire_syms=.. wire_terms=.. (codec-table
-                               entries across all live connections)
+                               entries of the engines' channel encoders)
       quit                     -> ok bye (socket clients disconnect)
     v}
     Every response is one [ok ...] or [err ...] line, except [report],
     whose body lines are indented by two spaces and terminated by [end].
-    While one client blocks in [run], other running sessions keep
-    advancing — the coordinator round-robins them.
+    A reply is flushed once, when its request is done.
 
     The durability verbs need a snapshot store ({!checkpoints}); without
     one they answer [err no snapshot store ...]. With [every = Some n],

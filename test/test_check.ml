@@ -100,12 +100,21 @@ let dqsq_fresh_run () =
       p.Diagnoser.program ~edb:p.Diagnoser.edb ~query:p.Diagnoser.query
   in
   Qsq_engine.set_tracing t true;
-  let out = Qsq_engine.run t ~query:p.Diagnoser.query in
+  let out = Qsq_engine.run t in
   let diagnosis =
     Canon.diagnosis_to_string (Supervisor.diagnosis_of_answers out.Qsq_engine.answers)
   in
   ( diagnosis,
-    Qsq_engine.delivery_trace t,
+    (* compared as descriptions: polymorphic equality would unfold the
+       messages' shared Skolem DAGs *)
+    List.map
+      (fun (src, dst, w) ->
+        ( src,
+          dst,
+          match w with
+          | Network.Termination.Work m -> Message.describe m
+          | Network.Termination.Ack -> "ack" ))
+      (Qsq_engine.delivery_trace t),
     Obs.Snapshot.to_json ~registry:(Qsq_engine.metrics t) () )
 
 let seed_determinism_full () =

@@ -148,7 +148,7 @@ let test_arena_cross_domain_intern () =
    localized program. *)
 let check_theorem1 program edb query seed =
   let t = Qsq_engine.create ~seed program ~edb ~query in
-  let _ = Qsq_engine.run t ~query in
+  let _ = Qsq_engine.run t in
   let dqsq_facts = Qsq_engine.zeta_facts t in
   let local_store = Fact_store.create () in
   List.iter

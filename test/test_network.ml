@@ -225,6 +225,27 @@ let test_ds_trivial () =
   Alcotest.(check bool) "terminated" true (Termination.is_terminated det);
   Alcotest.(check int) "one unit of work" 1 work_done
 
+(* Nothing may accumulate per delivered message: a peer pinging itself
+   100k times under the default policy ends, at quiescence, with the live
+   heap where it stood after the first send — a warm service engine lives
+   for many sessions, so any per-send residue grows without bound. *)
+let test_no_per_message_residue () =
+  let sim = Sim.create ~seed:5 () in
+  Sim.add_peer sim "a" (fun sim ~src:_ m ->
+      match m with
+      | Ping n when n > 1 -> Sim.send sim ~src:"a" ~dst:"a" (Ping (n - 1))
+      | Ping _ | Token _ -> ());
+  Sim.send sim ~src:"a" ~dst:"a" (Ping 100_000);
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  Alcotest.(check int) "deliveries" 100_000 (Sim.run sim);
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  Alcotest.(check bool) "quiescent" true (Sim.is_quiescent (Sys.opaque_identity sim));
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d (< 50k)" grown)
+    true (grown < 50_000)
+
 let suite =
   [ ( "sim",
       [ Alcotest.test_case "fifo per channel" `Quick test_fifo_per_channel;
@@ -240,7 +261,8 @@ let suite =
           test_unknown_peer_among_registered;
         Alcotest.test_case "loss injection drops" `Quick test_loss_injection_drops;
         Alcotest.test_case "loss zero drops nothing" `Quick test_loss_zero_drops_nothing;
-        Alcotest.test_case "loss rate validated" `Quick test_loss_validated ] );
+        Alcotest.test_case "loss rate validated" `Quick test_loss_validated;
+        Alcotest.test_case "no per-message residue" `Quick test_no_per_message_residue ] );
     ( "termination",
       [ Alcotest.test_case "detects termination" `Quick test_ds_detects_termination;
         Alcotest.test_case "never announces early" `Quick

@@ -38,31 +38,9 @@ let finish_one coord sid =
 
 (* a tenant alone on a fresh coordinator: the isolation baseline *)
 let solo net alarms =
-  let coord = Coordinator.create ~quantum:4 () in
+  let coord = Coordinator.create () in
   ignore (ok (Coordinator.add_tenant coord ~name:"t" net));
   (finish_one coord (start_one coord "t" alarms)).Coordinator.body
-
-(* Batching economics, pinned end to end: coalescing an activation's
-   messages into one Message.Batch envelope per destination must never
-   cost wire bytes — the envelope shares one frame header and one
-   per-channel dictionary context. *)
-let test_batching_reduces_wire_bytes () =
-  let module Dg = Diagnosis.Diagnoser in
-  let module Q = Dqsq.Qsq_engine in
-  let prep = Dg.prepare (running_net ()) (Petri.Alarm.make seq) in
-  let solve ~batching =
-    Q.solve ~batching prep.Dg.program ~edb:prep.Dg.edb ~query:prep.Dg.query
-  in
-  let eager = solve ~batching:false in
-  let batched = solve ~batching:true in
-  let answers o = List.map Datalog.Atom.to_string o.Q.answers in
-  Alcotest.(check (list string)) "batched answers equal" (answers eager) (answers batched);
-  let bytes o = o.Q.net_stats.Network.Sim.bytes in
-  Alcotest.(check bool)
-    (Printf.sprintf "batched bytes (%d) <= unbatched bytes (%d)" (bytes batched)
-       (bytes eager))
-    true
-    (bytes batched <= bytes eager)
 
 (* A Batch envelope prices as ONE frame: encoding [Batch [m1; m2]] costs
    less than encoding m1 and m2 as separate frames on the same channel,
@@ -89,10 +67,10 @@ let test_tenant_isolation () =
   let solo_a = solo (running_net ()) seq in
   let solo_b = solo (clashing_net ()) seq in
   Alcotest.(check bool) "the two tenants really differ" false (solo_a = solo_b);
-  let coord = Coordinator.create ~quantum:3 () in
+  let coord = Coordinator.create () in
   ignore (ok (Coordinator.add_tenant coord ~name:"a" (running_net ())));
   ignore (ok (Coordinator.add_tenant coord ~name:"b" (clashing_net ())));
-  (* both sessions genuinely in flight before either finishes *)
+  (* both sessions started before either runs *)
   let sa = start_one coord "a" seq in
   let sb = start_one coord "b" seq in
   Alcotest.(check int) "two sessions running" 2 (Coordinator.stats coord).Coordinator.running;
@@ -105,9 +83,9 @@ let test_tenant_isolation () =
   Alcotest.(check bool) "deliveries counted" true (ra.Coordinator.deliveries > 0)
 
 let test_warm_recycling () =
-  (* the second interleaved round reuses pooled engines (reset stores,
-     warm codec dictionaries) and must reproduce the same reports *)
-  let coord = Coordinator.create ~quantum:5 () in
+  (* the second round reuses pooled engines (reset stores, warm codec
+     dictionaries) and must reproduce the same reports *)
+  let coord = Coordinator.create () in
   ignore (ok (Coordinator.add_tenant coord ~name:"a" (running_net ())));
   ignore (ok (Coordinator.add_tenant coord ~name:"b" (clashing_net ())));
   let round () =
@@ -172,7 +150,7 @@ let contains s sub =
    adds codec framing, pooling, and session plumbing but zero bytes of
    divergence *)
 let test_stream_matches_direct () =
-  let coord = Coordinator.create ~quantum:4 () in
+  let coord = Coordinator.create () in
   ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
   let sid = ok (Coordinator.open_stream coord ~tenant:"t") in
   let net = Petri.Net.binarize (running_net ()) in
@@ -204,7 +182,7 @@ let test_stream_matches_direct () =
 
 (* a tripped state budget fails the one session, not the coordinator *)
 let test_stream_budget_failure () =
-  let coord = Coordinator.create ~quantum:4 ~stream_max_states:1 () in
+  let coord = Coordinator.create ~stream_max_states:1 () in
   ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
   let sid = ok (Coordinator.open_stream coord ~tenant:"t") in
   (match Coordinator.add_alarm coord sid ~symbol:"b" ~peer:"p1" with
@@ -251,14 +229,14 @@ let feed coord sid l =
    different process in spirit) must report byte-identically after both
    consume the same suffix *)
 let test_stream_migration () =
-  let a = Coordinator.create ~quantum:4 () in
+  let a = Coordinator.create () in
   ignore (ok (Coordinator.add_tenant a ~name:"t" (running_net ())));
   let sa = ok (Coordinator.open_stream a ~tenant:"t") in
   feed a sa [ ("b", "p1") ];
   let img = ok (Coordinator.checkpoint_stream a sa) in
   Alcotest.(check string) "image names the tenant" "t" img.Snapshot.tenant;
   Alcotest.(check int) "image counts the prefix" 1 img.Snapshot.alarms;
-  let b = Coordinator.create ~quantum:4 () in
+  let b = Coordinator.create () in
   ignore (ok (Coordinator.add_tenant b ~name:"t" (running_net ())));
   let sb = ok (Coordinator.restore_stream b img) in
   let suffix = [ ("a", "p2"); ("c", "p1") ] in
@@ -275,7 +253,7 @@ let test_stream_migration () =
 
 (* only streaming sessions checkpoint *)
 let test_checkpoint_rejects_batch () =
-  let coord = Coordinator.create ~quantum:4 () in
+  let coord = Coordinator.create () in
   ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
   let sid = start_one coord "t" seq in
   (match Coordinator.checkpoint_stream coord sid with
@@ -288,7 +266,7 @@ let test_snapshot_store () =
   let dir = "tmp_snap_store_test" in
   rm_rf dir;
   let store = Snapshot.open_store dir in
-  let coord = Coordinator.create ~quantum:4 () in
+  let coord = Coordinator.create () in
   ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
   let sid = ok (Coordinator.open_stream coord ~tenant:"t") in
   feed coord sid [ ("b", "p1") ];
@@ -316,6 +294,40 @@ let test_snapshot_store () =
   ok (Coordinator.close coord sid);
   rm_rf dir
 
+(* The codec-table gauges ([wire_syms]/[wire_terms] in `serve stats`)
+   count the entries of the simulator's channel encoders only: the
+   one-shot tables behind report frames, checkpoints, snapshot files and
+   restores leave them where they were, while a batch session on a fresh
+   engine grows them. *)
+let test_table_gauges () =
+  let syms = Obs.Metrics.gauge "wire.table_symbols" in
+  let terms = Obs.Metrics.gauge "wire.table_terms" in
+  let gauges () = (Obs.Metrics.gauge_value syms, Obs.Metrics.gauge_value terms) in
+  let dir = "tmp_snap_gauge_test" in
+  rm_rf dir;
+  let store = Snapshot.open_store dir in
+  let coord = Coordinator.create () in
+  ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
+  let sid = ok (Coordinator.open_stream coord ~tenant:"t") in
+  feed coord sid seq;
+  let before = gauges () in
+  ignore (ok (Coordinator.report coord sid));
+  let img = ok (Coordinator.checkpoint_stream coord sid) in
+  let back = Snapshot.read store (Snapshot.write store img) in
+  let restored = ok (Coordinator.restore_stream coord back) in
+  ignore (ok (Coordinator.report coord restored));
+  Alcotest.(check (pair int int)) "stream report, checkpoint, snapshot, restore" before
+    (gauges ());
+  ok (Coordinator.close coord sid);
+  ok (Coordinator.close coord restored);
+  let b = start_one coord "t" seq in
+  let (s0, t0) = gauges () in
+  ignore (finish_one coord b);
+  let (s1, t1) = gauges () in
+  Alcotest.(check bool) "a batch session grows the symbol tables" true (s1 > s0);
+  Alcotest.(check bool) "a batch session grows the term tables" true (t1 > t0);
+  rm_rf dir
+
 (* SIGTERM while [Serve.socket] blocks in accept: the child must flush its
    live stream to the store, unlink the socket, and exit cleanly *)
 let test_graceful_shutdown () =
@@ -326,7 +338,7 @@ let test_graceful_shutdown () =
   match Unix.fork () with
   | 0 ->
     (try
-       let coord = Coordinator.create ~quantum:4 () in
+       let coord = Coordinator.create () in
        ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
        let sid = ok (Coordinator.open_stream coord ~tenant:"t") in
        feed coord sid [ ("b", "p1") ];
@@ -376,7 +388,7 @@ let () =
           Alcotest.test_case "graceful shutdown flushes" `Quick
             test_graceful_shutdown ] );
       ( "wire batching",
-        [ Alcotest.test_case "batching reduces wire bytes" `Quick
-            test_batching_reduces_wire_bytes;
-          Alcotest.test_case "batch prices as one frame" `Quick
-            test_batch_prices_as_one_frame ] ) ]
+        [ Alcotest.test_case "batch prices as one frame" `Quick
+            test_batch_prices_as_one_frame;
+          Alcotest.test_case "table gauges count channel encoders" `Quick
+            test_table_gauges ] ) ]
